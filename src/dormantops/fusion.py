@@ -17,7 +17,13 @@ order:
 On top of the table, counts for arbitrary genus g and r marked points follow
 the factorization recursion: a genus reduction glues in a handle (sum over a
 class and its negation dual), a boundary reduction splits off a three-point
-sphere.  Values are memoized on (g, sorted radii); every scalar is exact.
+sphere.  The recursion runs on basis indices: values are memoized on
+(g, sorted tuple of indices into Xi_{p,n}), and since Xi_{p,n} is sorted this
+is the order of the radii themselves.  Every scalar is exact.
+
+Rules 1-3 are invariant under permuting the triple (hyp_set is closed under
+S_3), so the table resolves them once per S_3 orbit, with the per-class data
+(complement dual, hypergeometric type on either side) computed once per class.
 
 The same data is packaged as a commutative Frobenius algebra on the basis
 Xi_{p,n} (unit [[0,...,n-1]], pairing delta(eta, neg_dual(lambda))) whose
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .fp import check_odd_prime
 from .radii import RadiusClass, canonical, comp_dual, hyp_set, is_hyp_type, neg_dual, xi
@@ -84,27 +90,38 @@ class BaseTable:
         self.p = p
         self.n = n
         self._overrides = default_overrides() if overrides is None else dict(overrides)
-        self.basis = xi(p, n)
+        self.basis = basis = xi(p, n)
+        duals = [comp_dual(c) for c in basis]
+        hyp = [is_hyp_type(c) for c in basis]
+        dual_hyp = [is_hyp_type(c) for c in duals]
+        by_orbit = {}
+        for idx in itertools.combinations_with_replacement(range(len(basis)), 3):
+            got = self._primary(p, n, tuple(basis[i] for i in idx), [hyp[i] for i in idx])
+            if got is None:
+                dual = tuple(duals[i] for i in idx)
+                got = self._primary(p, p - n, dual, [dual_hyp[i] for i in idx])
+                if got is not None:
+                    got = got[0], "dual:" + got[1]
+            by_orbit[idx] = got
         self._entries: dict[Triple, tuple[Optional[int], str]] = {}
-        for triple in itertools.product(self.basis, repeat=3):
-            self._entries[triple] = self._resolve(triple)
+        for idx in itertools.product(range(len(basis)), repeat=3):
+            triple = tuple(basis[i] for i in idx)
+            got = by_orbit[tuple(sorted(idx))]
+            if got is None:
+                # override data need not be closed under S_3, so look up each order
+                got = self._override(triple, tuple(duals[i] for i in idx))
+            self._entries[triple] = got
 
-    def _primary(self, p: int, n: int, triple: Triple) -> Optional[tuple[int, str]]:
+    @staticmethod
+    def _primary(p: int, n: int, triple: Triple, hyp: Sequence[bool]) -> Optional[tuple[int, str]]:
         if n == p - 1:
             full = xi(p, n)[0]
             return (1 if all(c == full for c in triple) else 0, "top-rank")
-        if any(is_hyp_type(c) for c in triple):
+        if any(hyp):
             return (1 if triple in hyp_set(p, n) else 0, "hyp")
         return None
 
-    def _resolve(self, triple: Triple) -> tuple[Optional[int], str]:
-        got = self._primary(self.p, self.n, triple)
-        if got is not None:
-            return got
-        dual = tuple(comp_dual(c) for c in triple)
-        got = self._primary(self.p, self.p - self.n, dual)
-        if got is not None:
-            return got[0], "dual:" + got[1]
+    def _override(self, triple: Triple, dual: Triple) -> tuple[Optional[int], str]:
         key = (self.p, self.p - self.n, dual)
         if key in self._overrides:
             val, src = self._overrides[key]
@@ -171,12 +188,14 @@ class FusionAlgebra:
         self.dual_perm = tuple(self.index[neg_dual(c)] for c in self.basis)
         k = len(self.basis)
         self.structure = [[[0] * k for _ in range(k)] for _ in range(k)]
+        entries = table.entries()
         for i, a in enumerate(self.basis):
             for j, b in enumerate(self.basis):
-                for t, c in enumerate(self.basis):
-                    v = table.value((a, b, neg_dual(c)))
+                for t, d in enumerate(self.dual_perm):
+                    triple = (a, b, self.basis[d])
+                    v = entries[triple][0]
                     if v is None:
-                        raise UnresolvedBaseError(self.p, self.n, (a, b, neg_dual(c)))
+                        raise UnresolvedBaseError(self.p, self.n, triple)
                     self.structure[i][j][t] = v
 
     def multiply(self, va: Sequence, vb: Sequence) -> list:
@@ -212,19 +231,32 @@ class FusionEngine:
         self.p = self.table.p
         self.n = self.table.n
         self.basis = self.table.basis
-        self.memo: dict[tuple, int] = {}
+        self.index = {c: i for i, c in enumerate(self.basis)}
+        self.dual_perm = tuple(self.index[neg_dual(c)] for c in self.basis)
+        # keyed by (g, sorted tuple of basis indices)
+        self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.used: dict[Triple, tuple[int, str]] = {}
+        self._base_values: dict[tuple[int, int, int], int] = {}
 
-    def _base(self, triple: Triple) -> int:
-        v = self.table.value(triple)
+    def _base(self, idx: tuple[int, int, int]) -> int:
+        v = self._base_values.get(idx)
         if v is None:
-            raise UnresolvedBaseError(self.p, self.n, triple)
-        self.used[triple] = (v, self.table.source(triple))
+            triple = tuple(self.basis[i] for i in idx)
+            v = self.table.value(triple)
+            if v is None:
+                raise UnresolvedBaseError(self.p, self.n, triple)
+            self.used[triple] = (v, self.table.source(triple))
+            self._base_values[idx] = v
         return v
 
-    @staticmethod
-    def _key(radii: Iterable[RadiusClass]) -> tuple[RadiusClass, ...]:
-        return tuple(sorted(radii, key=lambda c: c.elems))
+    def _glue(self, g: int, idx: Sequence[int]) -> int:
+        """The recursion on basis indices in any order, guarded against its depth."""
+        try:
+            return self._count(g, tuple(sorted(idx)))
+        except RecursionError:
+            raise ValueError(
+                f"genus {g} with {len(idx)} marked points is too deep for the gluing recursion"
+            ) from None
 
     def count(self, g: int, radii: Sequence[RadiusClass] = ()) -> int:
         """Number of dormant opers of the given radii on a genus-g surface.
@@ -246,9 +278,9 @@ class FusionEngine:
         r = len(checked)
         if 2 * g - 2 + r <= 0 and not (r == 0 and g in (0, 1)):
             raise ValueError(f"no stable surface with genus {g} and {r} marked points")
-        return self._count(g, self._key(checked))
+        return self._glue(g, [self.index[c] for c in checked])
 
-    def _count(self, g: int, key: tuple[RadiusClass, ...]) -> int:
+    def _count(self, g: int, key: tuple[int, ...]) -> int:
         memo_key = (g, key)
         got = self.memo.get(memo_key)
         if got is not None:
@@ -260,17 +292,17 @@ class FusionEngine:
             v = len(self.basis)
         elif g > 0:
             v = 0
-            for c in self.basis:
-                v += self._count(g - 1, self._key(key + (c, neg_dual(c))))
+            for c, d in enumerate(self.dual_perm):
+                v += self._count(g - 1, tuple(sorted(key + (c, d))))
         elif r == 3:
             v = self._base(key)  # type: ignore[arg-type]
         else:
             v = 0
             a, b, rest = key[0], key[1], key[2:]
-            for c in self.basis:
+            for c, d in enumerate(self.dual_perm):
                 w = self._base((a, b, c))
                 if w:
-                    v += w * self._count(0, self._key((neg_dual(c),) + rest))
+                    v += w * self._count(0, tuple(sorted((d,) + rest)))
         self.memo[memo_key] = v
         return v
 
@@ -318,9 +350,10 @@ class FusionEngine:
             for key, val in items:
                 if not val:
                     continue
-                for lam in itertools.product(self.basis, repeat=s):
-                    glued = key + tuple(neg_dual(c) for c in lam)
-                    add(lam, val * self._count(g, self._key(glued)))
+                idx = [self.index[c] for c in key]
+                for lam in itertools.product(range(len(self.basis)), repeat=s):
+                    glued = idx + [self.dual_perm[i] for i in lam]
+                    add(tuple(self.basis[i] for i in lam), val * self._glue(g, glued))
         else:
             raise ValueError(f"surface ({g},{r},{s}) has no stable evaluation")
         return out

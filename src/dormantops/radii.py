@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fp import check_odd_prime
 
@@ -81,8 +81,14 @@ class RadiusClass:
         return canonical(obj["p"], obj["elems"])
 
 
+def _zero_translates(p: int, elems: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The sorted translates that contain 0, one per distinct entry."""
+    return (tuple(sorted((e - s) % p for e in elems)) for s in set(elems))
+
+
 def _lexmin_translate(p: int, elems: Sequence[int]) -> tuple[int, ...]:
-    return min(tuple(sorted((e + c) % p for e in elems)) for c in range(p))
+    # the least translate starts at 0, so it is one of the translates with 0
+    return min(_zero_translates(p, elems))
 
 
 def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
@@ -151,13 +157,10 @@ def radii_triple(
 
 def is_hyp_type(c: RadiusClass) -> bool:
     """Whether some translate sorts to (0, 1, ..., n-2, d)."""
+    # for n >= 2 the prefix holds 0, so only the translates with 0 can match
     n = c.n
     prefix = tuple(range(n - 1))
-    for shift in range(c.p):
-        t = tuple(sorted((e + shift) % c.p for e in c.elems))
-        if t[: n - 1] == prefix:
-            return True
-    return False
+    return any(t[: n - 1] == prefix for t in _zero_translates(c.p, c.elems))
 
 
 def interleavings(p: int, n: int):
@@ -177,7 +180,8 @@ def interleavings(p: int, n: int):
             hi = chain[-1]  # next is b_k <= a_k
         else:
             hi = chain[-1] - 1  # next is a_{k+1} < b_k
-        for v in range(hi, 0, -1):
+        # a_n >= 1 and the strict steps b_k > a_{k+1} below entry i force it >= n - i // 2
+        for v in range(hi, n - i // 2 - 1, -1):
             chain.append(v)
             yield from go(chain)
             chain.pop()

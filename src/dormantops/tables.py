@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import lru_cache
 from importlib import resources
 
 from .radii import RadiusClass, canonical
@@ -27,13 +28,11 @@ __all__ = [
 Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
 
 
-def _raw() -> dict:
-    text = resources.files("dormantops.data").joinpath("published_tables.json").read_text()
-    return json.loads(text)
-
-
+@lru_cache(maxsize=None)
 def _records() -> dict[tuple[int, int], dict]:
-    return {(r["p"], r["n"]): r for r in _raw()["tables"]}
+    """The parsed records by (p, n), read once; callers must not mutate them."""
+    text = resources.files("dormantops.data").joinpath("published_tables.json").read_text()
+    return {(r["p"], r["n"]): r for r in json.loads(text)["tables"]}
 
 
 def published_pairs() -> list[tuple[int, int]]:

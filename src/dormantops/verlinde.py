@@ -15,9 +15,10 @@ works in the
 integer group ring Z[x]/(x^p - 1): within each summand the root powers cancel
 against the denominator factors zeta^j, the sign (-1)^{n(n-1)} is +1, and each
 factor inverse (1 - zeta^k)^{-1} becomes integral after scaling by p, so a
-summand is an integer vector divided by a fixed power of p.  No symmetry of
-the summand under translation or under the Galois action is exploited;
-grouping those orbits is a possible future speedup.
+summand is an integer vector divided by a fixed power of p.  The summand
+depends only on the differences within S, so it is constant on translation
+orbits; each orbit has p members, n of which contain 0, and the sum runs over
+the subsets that contain 0, scaled by p/n.  The Galois action is not used.
 
 verlinde_count applies the validity window g >= 2, p > n * max(g-1, 2) and
 checks the result is a nonnegative integer.
@@ -241,13 +242,14 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
             acc = _gr_mul(acc, base, p)
         W[d] = acc
     total = [0] * p
-    for S in combinations(range(p), n):
+    for rest in combinations(range(1, p), n - 1):
         term = list(one)
-        for a, b in combinations(S, 2):
+        for a, b in combinations((0,) + rest, 2):
             term = _gr_mul(term, W[(a - b) % p], p)
         for i in range(p):
             total[i] += term[i]
-    value = Fraction(_gr_rational(total))
+    # the subsets with 0 hold n of the p members of each translation orbit
+    value = Fraction(p, n) * _gr_rational(total)
     # undo the p^2 scale on each of the n(n-1)/2 * (g-1) pair factors
     value /= Fraction(p) ** (n * (n - 1) * e)
     return value * Fraction(p) ** ((n - 1) * e - 1)

@@ -126,6 +126,13 @@ def test_count_overrides_file_extends_table(capsys, tmp_path):
     assert data["count"] == 4
 
 
+def test_count_too_deep_for_the_recursion_exits_one(capsys):
+    code, out, err = run(capsys, "count", "--p", "5", "--n", "2", "--g", "400")
+    assert code == 1 and not out
+    assert err.startswith("error:") and "genus 400" in err
+    assert "Traceback" not in err
+
+
 def test_count_missing_overrides_file(capsys):
     code, _, err = run(
         capsys, "count", "--p", "7", "--n", "3", "--g", "2", "--overrides", "/nonexistent.json"

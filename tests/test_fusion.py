@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from dormantops.fusion import (
     count,
     evaluate,
 )
-from dormantops.radii import canonical, comp_dual, neg_dual, xi, xi_size
+from dormantops.radii import canonical, comp_dual, hyp_set, is_hyp_type, neg_dual, xi, xi_size
 from dormantops.tables import (
     default_overrides,
     load_overrides,
@@ -69,6 +70,43 @@ def test_genus_zero_overrides_and_their_sources():
     full = xi(7, 6)[0]
     assert t76.value((full, full, full)) == 1
     assert t76.source((full, full, full)) == "top-rank"
+
+
+def _resolve_one(p, n, triple, overrides):
+    """Rules 1-4 of the module docstring applied to one ordered triple."""
+
+    def primary(m, t):
+        if m == p - 1:
+            return (1 if all(c == xi(p, m)[0] for c in t) else 0, "top-rank")
+        if any(is_hyp_type(c) for c in t):
+            return (1 if t in hyp_set(p, m) else 0, "hyp")
+        return None
+
+    got = primary(n, triple)
+    if got is not None:
+        return got
+    dual = tuple(comp_dual(c) for c in triple)
+    got = primary(p - n, dual)
+    if got is not None:
+        return got[0], "dual:" + got[1]
+    for key, tag in (((p, p - n, dual), "dual:override:"), ((p, n, triple), "override:")):
+        if key in overrides:
+            return overrides[key][0], tag + overrides[key][1]
+    return None, "unknown"
+
+
+# an override on one order only: the table must not spread it over the orbit
+ONE_ORDER = {(11, 3, tuple(canonical(11, e) for e in [(0, 2, 5), (0, 2, 5), (0, 3, 6)])): (3, "x")}
+
+
+@pytest.mark.parametrize("p,n,overrides", [
+    (7, 3, None), (7, 4, None), (11, 3, None), (11, 8, None), (11, 3, ONE_ORDER),
+])
+def test_orbit_resolution_matches_per_triple_resolution(p, n, overrides):
+    table = BaseTable(p, n, overrides=overrides)
+    data = default_overrides() if overrides is None else overrides
+    want = [(t, _resolve_one(p, n, t, data)) for t in itertools.product(xi(p, n), repeat=3)]
+    assert list(table.entries().items()) == want
 
 
 def test_overrides_cannot_shadow_resolved_entries():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from dormantops.radii import (
     RadiusClass,
+    _lexmin_translate,
     canonical,
     comp_dual,
     exponents,
@@ -50,6 +52,27 @@ def test_non_canonical_construction_rejected():
         RadiusClass(5, (0, 1, 2, 3, 4))
     with pytest.raises(ValueError):
         canonical(4, (0, 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_zero_translates_match_the_p_shift_formulas(p):
+    """The least translate and the hyp test need only the shifts that send an entry to 0.
+
+    Both sides are unchanged by translating the input, and every multiset has a
+    translate containing 0, so the multisets with 0 stand for all of them.
+    """
+    seen = set()
+    for n in range(1, p):
+        prefix = list(range(n - 1))
+        for rest in itertools.combinations_with_replacement(range(p), n - 1):
+            elems = (0,) + rest
+            translates = [sorted([(e + c) % p for e in elems]) for c in range(p)]
+            least = tuple(min(translates))
+            assert _lexmin_translate(p, elems) == least
+            if least not in seen:
+                seen.add(least)
+                want = any(t[: n - 1] == prefix for t in translates)
+                assert is_hyp_type(RadiusClass(p, least)) == want
 
 
 def test_json_round_trip():
@@ -133,6 +156,17 @@ def test_interleaving_chains_satisfy_the_inequalities():
         a1, a2, a3 = alpha_l
         b1, b2 = beta_l
         assert 7 >= a1 >= b1 > a2 >= b2 > a3 >= 1
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, min(p, 5))])
+def test_interleavings_match_a_brute_force_filter(p, n):
+    """Same chains in the same order as filtering every descending tuple."""
+    want = []
+    for chain in itertools.product(range(p, 0, -1), repeat=2 * n - 1):
+        steps = zip(chain, chain[1:])
+        if all(a >= b if i % 2 == 0 else a > b for i, (a, b) in enumerate(steps)):
+            want.append((chain[0::2], chain[1::2]))
+    assert list(interleavings(p, n)) == want
 
 
 @pytest.mark.parametrize(
