@@ -412,9 +412,10 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
         )
 
     witness = None
-    for t, (v, _) in table.entries().items():
+    entries = table.entries()
+    for t, (v, _) in entries.items():
         for perm in itertools.permutations(t):
-            if table.entries()[perm][0] != v:
+            if entries[perm][0] != v:
                 witness = f"{[list(c.elems) for c in t]} vs permutation"
                 break
         if witness:

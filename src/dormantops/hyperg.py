@@ -11,11 +11,18 @@ matrix is upper bidiagonal of size p.  The rank of the solution space inside
 the polynomial span has a closed combinatorial form (t_set below) and an
 independent dense-elimination oracle; the two are kept as separate code paths
 on purpose and compared in tests.
+
+The oracle brings the full p x p matrix to row echelon form by forward
+elimination, and root_basis reads null vectors off it by back substitution.
+There is one elimination per operator: oracle_rank and root_basis share it
+through a cached property of the operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .fp import FpElem, Generic, Parameter, check_odd_prime, sort_params
@@ -79,6 +86,15 @@ class HGOperator:
 
     def all_fp(self) -> bool:
         return not any(isinstance(q, Generic) for q in self.alpha + self.beta)
+
+    @cached_property
+    def _row_echelon(self) -> tuple[list[list[int]], list[int]]:
+        """(rows, pivots) of matrix(self) in row echelon form, eliminated once.
+
+        Stored in the instance dict, outside the dataclass fields, so equality
+        and hashing are unchanged.  Callers must not mutate the rows.
+        """
+        return _echelon(matrix(self).rows(), self.p)
 
 
 def new_operator(p: int, alpha: Iterable[object], beta: Iterable[object]) -> HGOperator:
@@ -195,8 +211,13 @@ def matrix(op: HGOperator) -> BidiagMatrix:
     return BidiagMatrix(p, tuple(diag), tuple(superdiag))
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p by plain Gaussian elimination."""
+def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form over F_p by forward elimination, in place.
+
+    Entries are residues in 0..p-1.  Each pivot row is scaled so its pivot is
+    1, and only the rows below it are cleared.  A pivot row is zero left of its
+    pivot column c, so every row operation touches columns c: only.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -204,19 +225,19 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
-            if rows[i][c] % p:
+            if rows[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                row_r = rows[r]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row_r)]
+        tail = [x * inv % p for x in rows[r][c:]]
+        rows[r][c:] = tail
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [(x - f * y) % p for x, y in zip(rows[i][c:], tail)]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -225,11 +246,12 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
 def oracle_rank(op: HGOperator) -> int:
     """Kernel dimension measured by dense elimination on the full p x p matrix.
 
-    Deliberately ignores the bidiagonal block structure; this is the
+    The matrix is brought to row echelon form by forward elimination, once per
+    operator (shared with root_basis), and the rank is p minus the number of
+    pivots.  Deliberately ignores the bidiagonal block structure; this is the
     independent check against the closed form.
     """
-    mat = matrix(op)
-    _, pivots = _rref(mat.rows(), op.p)
+    _, pivots = op._row_echelon
     return op.p - len(pivots)
 
 
@@ -259,10 +281,15 @@ def apply(op: HGOperator, coeffs: Sequence[int]) -> tuple[int, ...]:
 
 
 def root_basis(op: HGOperator) -> list[tuple[int, ...]]:
-    """Basis of the polynomial solution space, each vector re-verified by apply."""
-    mat = matrix(op)
+    """Basis of the polynomial solution space, each vector re-verified by apply.
+
+    Uses the operator's row echelon form from forward elimination, computed
+    once per operator (shared with oracle_rank).  There is one null vector per
+    free column, in increasing column order: 1 at its own free column, 0 at
+    the other free columns, and the pivot entries found by back substitution.
+    """
+    rows, pivots = op._row_echelon
     p = op.p
-    rref, pivots = _rref(mat.rows(), p)
     pivot_set = set(pivots)
     basis = []
     for free in range(p):
@@ -270,8 +297,9 @@ def root_basis(op: HGOperator) -> list[tuple[int, ...]]:
             continue
         vec = [0] * p
         vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][free] % p
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            vec[c] = -sum(map(mul, rows[r][c + 1 :], vec[c + 1 :])) % p
         vec_t = tuple(vec)
         if any(apply(op, vec_t)):
             raise AssertionError(f"null vector {vec_t} not annihilated by operator")

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dormantops import hyperg
 from dormantops.fp import Generic
 from dormantops.hyperg import (
     GenericParameterError,
@@ -142,3 +144,164 @@ def test_pcurvature_sum_test():
     assert pcurvature_sum_test((1, 2), (3,)) is True
     assert pcurvature_sum_test((Generic("a"), 2), (3,)) is False
     assert pcurvature_sum_test((1, 2), (Generic("b"),)) is False
+
+
+def _span(basis, p):
+    """Every F_p linear combination of the basis vectors, which lie in F_p^p."""
+    return {
+        tuple(sum(c * v[s] for c, v in zip(coeffs, basis)) % p for s in range(p))
+        for coeffs in product(range(p), repeat=len(basis))
+    }
+
+
+def _brute_force_witness(op):
+    """The null vectors found by trying every vector: no elimination involved."""
+    p = op.p
+    null = {v for v in product(range(p), repeat=p) if not any(apply(op, v))}
+    assert len(null) == p ** oracle_rank(op), (p, op.alpha, op.beta)
+    assert _span(root_basis(op), p) == null, (p, op.alpha, op.beta)
+
+
+def test_oracle_and_basis_against_brute_force_p3():
+    multisets = [m for size in range(1, 4) for m in combinations_with_replacement(range(3), size)]
+    for alpha in multisets:
+        for beta in multisets:
+            _brute_force_witness(new_operator(3, alpha, beta))
+
+
+def test_oracle_and_basis_against_brute_force_p5():
+    rng = random.Random(5)
+    for _ in range(40):
+        alpha = [rng.randrange(5) for _ in range(rng.randint(1, 4))]
+        beta = [rng.randrange(5) for _ in range(rng.randint(1, 4))]
+        _brute_force_witness(new_operator(5, alpha, beta))
+
+
+def _primes(lo, hi):
+    return [q for q in range(lo, hi + 1) if all(q % d for d in range(2, int(q**0.5) + 1))]
+
+
+def _large_prime_operators():
+    """One seeded operator per prime in 31..211, plus one full-solution chain
+    a_1 >= b_1 > a_2 >= ... > a_n per prime, so ranks above 1 occur."""
+    rng = random.Random(31211)
+    ops = []
+    for p in _primes(31, 211):
+        alpha = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        beta = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        ops.append((p, tuple(alpha), tuple(beta)))
+        lifts = sorted(rng.sample(range(1, p + 1), 7), reverse=True)
+        ops.append((p, tuple(lifts[0::2]), tuple(lifts[1::2])))
+    return ops
+
+
+def test_large_primes_rank_and_basis():
+    ranks = set()
+    for p, alpha, beta in _large_prime_operators():
+        op = new_operator(p, alpha, beta)
+        rank = kernel_rank(op)
+        ranks.add(rank)
+        assert oracle_rank(op) == rank, (p, alpha, beta)
+        basis = root_basis(op)
+        assert len(basis) == rank, (p, alpha, beta)
+        for vec in basis:
+            assert not any(apply(op, vec)), (p, alpha, beta, vec)
+    assert {1, 4} <= ranks
+
+
+def test_large_primes_results_do_not_depend_on_call_order():
+    for p, alpha, beta in _large_prime_operators()[::4]:
+        rank_first = new_operator(p, alpha, beta)
+        basis_first = new_operator(p, alpha, beta)
+        rank = oracle_rank(rank_first)
+        basis = root_basis(basis_first)
+        assert root_basis(rank_first) == basis, (p, alpha, beta)
+        assert oracle_rank(basis_first) == rank, (p, alpha, beta)
+
+
+def test_one_elimination_per_operator(monkeypatch):
+    calls = []
+    echelon = hyperg._echelon
+
+    def counting(rows, p):
+        calls.append(p)
+        return echelon(rows, p)
+
+    monkeypatch.setattr(hyperg, "_echelon", counting)
+    op = new_operator(101, (40, 7), (20,))
+    assert oracle_rank(op) == 2
+    assert len(root_basis(op)) == 2
+    assert oracle_rank(op) == 2
+    assert calls == [101]
+    assert oracle_rank(new_operator(101, (40, 7), (20,))) == 2
+    assert calls == [101, 101]
+
+
+def test_cached_elimination_keeps_equality_and_hash():
+    cached = new_operator(97, (50, 3), (10,))
+    fresh = new_operator(97, (50, 3), (10,))
+    root_basis(cached)
+    assert cached == fresh and fresh == cached
+    assert hash(cached) == hash(fresh)
+    assert len({cached, fresh}) == 1
+    assert cached != new_operator(97, (50, 4), (10,))
+
+
+def _assert_free_column_shape(basis):
+    """The shape the reduced-echelon null vectors had.
+
+    A vector's free column is its last nonzero entry: it is 1 there, the other
+    vectors are 0 there, and free columns increase along the basis.
+    """
+    free = [max(s for s, c in enumerate(vec) if c) for vec in basis]
+    assert free == sorted(set(free))
+    for i, vec in enumerate(basis):
+        assert vec[free[i]] == 1
+        for j, col in enumerate(free):
+            if j != i:
+                assert vec[col] == 0
+
+
+def test_root_basis_free_column_shape():
+    assert root_basis(new_operator(7, (6, 4, 2), (5, 3))) == [
+        (6, 1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 0, 1, 0),
+    ]
+    assert root_basis(new_operator(7, (3, 1), (3,))) == [
+        (1, 1, 1, 1, 1, 0, 0),
+        (0, 0, 0, 0, 0, 1, 1),
+    ]
+    rng = random.Random(7)
+    for _ in range(200):
+        p = rng.choice([3, 5, 7, 11, 13])
+        alpha = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        beta = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        _assert_free_column_shape(root_basis(new_operator(p, alpha, beta)))
+    for p, alpha, beta in _large_prime_operators():
+        _assert_free_column_shape(root_basis(new_operator(p, alpha, beta)))
+
+
+def test_echelon_on_dense_matrices():
+    """The elimination is generic: on dense matrices its rank matches a brute-force
+    null-vector count, and its rows are in echelon form with unit pivots."""
+    rng = random.Random(3)
+    for _ in range(60):
+        p = rng.choice([3, 5])
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        null = sum(
+            1
+            for v in product(range(p), repeat=ncols)
+            if not any(sum(a * b for a, b in zip(row, v)) % p for row in mat)
+        )
+        rows, pivots = hyperg._echelon([row[:] for row in mat], p)
+        assert null == p ** (ncols - len(pivots)), (p, mat)
+        assert pivots == sorted(set(pivots))
+        for r, row in enumerate(rows):
+            if r < len(pivots):
+                c = pivots[r]
+                assert row[:c] == [0] * c and row[c] == 1, (p, mat, rows)
+                assert all(rows[i][c] == 0 for i in range(r + 1, nrows)), (p, mat, rows)
+            else:
+                assert not any(row), (p, mat, rows)
