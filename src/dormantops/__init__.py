@@ -43,6 +43,6 @@ from .fusion import (
     count,
     evaluate,
 )
-from .verlinde import CycloElem, poly_n3_g2, verlinde_count, verlinde_sum
+from .verlinde import poly_n3_g2, verlinde_count, verlinde_sum
 
 __version__ = "0.1.0"

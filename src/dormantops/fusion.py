@@ -81,7 +81,12 @@ class Cobordism:
 
 
 class BaseTable:
-    """Resolved three-point counts over all ordered triples from Xi_{p,n}."""
+    """Resolved three-point counts over all ordered triples from Xi_{p,n}.
+
+    Also owns the basis data the algebra and the engine share: index maps a
+    class to its position in basis, and dual_perm[i] is the index of
+    neg_dual(basis[i]).
+    """
 
     def __init__(self, p: int, n: int, overrides=None):
         check_odd_prime(p)
@@ -91,6 +96,8 @@ class BaseTable:
         self.n = n
         self._overrides = default_overrides() if overrides is None else dict(overrides)
         self.basis = basis = xi(p, n)
+        self.index = {c: i for i, c in enumerate(basis)}
+        self.dual_perm = tuple(self.index[neg_dual(c)] for c in basis)
         duals = [comp_dual(c) for c in basis]
         hyp = [is_hyp_type(c) for c in basis]
         dual_hyp = [is_hyp_type(c) for c in duals]
@@ -162,7 +169,7 @@ class BaseTable:
         clone = object.__new__(BaseTable)
         clone.p, clone.n = self.p, self.n
         clone._overrides = self._overrides
-        clone.basis = self.basis
+        clone.basis, clone.index, clone.dual_perm = self.basis, self.index, self.dual_perm
         clone._entries = dict(self._entries)
         targets = set(itertools.permutations(t)) if symmetric else {t}
         for perm in targets:
@@ -183,9 +190,9 @@ class FusionAlgebra:
         self.n = table.n
         self.table = table
         self.basis = table.basis
-        self.index = {c: i for i, c in enumerate(self.basis)}
+        self.index = table.index
         self.unit = canonical(self.p, range(self.n))
-        self.dual_perm = tuple(self.index[neg_dual(c)] for c in self.basis)
+        self.dual_perm = table.dual_perm
         k = len(self.basis)
         self.structure = [[[0] * k for _ in range(k)] for _ in range(k)]
         entries = table.entries()
@@ -231,8 +238,8 @@ class FusionEngine:
         self.p = self.table.p
         self.n = self.table.n
         self.basis = self.table.basis
-        self.index = {c: i for i, c in enumerate(self.basis)}
-        self.dual_perm = tuple(self.index[neg_dual(c)] for c in self.basis)
+        self.index = self.table.index
+        self.dual_perm = self.table.dual_perm
         # keyed by (g, sorted tuple of basis indices)
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.used: dict[Triple, tuple[int, str]] = {}

@@ -56,14 +56,29 @@ class RadiusClass:
     elems: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self._check_shape()
+        if self.elems != _lexmin_translate(self.p, self.elems):
+            raise ValueError(f"{self.elems} is not the canonical translate")
+
+    def _check_shape(self) -> None:
         check_odd_prime(self.p)
         n = len(self.elems)
         if not 1 <= n < self.p:
             raise ValueError(f"class size must satisfy 1 <= n < p, got n={n}, p={self.p}")
         if any(not isinstance(e, int) or not 0 <= e < self.p for e in self.elems):
             raise ValueError(f"entries out of range for p={self.p}: {self.elems}")
-        if self.elems != _lexmin_translate(self.p, self.elems):
-            raise ValueError(f"{self.elems} is not the canonical translate")
+
+    @classmethod
+    def _from_lexmin(cls, p: int, elems: tuple[int, ...]) -> "RadiusClass":
+        """The class of a translate its caller has just computed by _lexmin_translate.
+
+        Runs every check of the constructor but the lexmin one.
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "p", p)
+        object.__setattr__(c, "elems", elems)
+        c._check_shape()
+        return c
 
     @property
     def n(self) -> int:
@@ -97,7 +112,7 @@ def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
     es = [e % p for e in elems]
     if not 1 <= len(es) < p:
         raise ValueError(f"class size must satisfy 1 <= n < p, got n={len(es)}, p={p}")
-    return RadiusClass(p, _lexmin_translate(p, es))
+    return RadiusClass._from_lexmin(p, _lexmin_translate(p, es))
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +125,7 @@ def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
     # every canonical representative contains 0
     for rest in itertools.combinations(range(1, p), n - 1):
         seen.add(_lexmin_translate(p, (0,) + rest))
-    return tuple(RadiusClass(p, e) for e in sorted(seen))
+    return tuple(RadiusClass._from_lexmin(p, e) for e in sorted(seen))
 
 
 def xi_size(p: int, n: int) -> int:

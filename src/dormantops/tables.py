@@ -1,10 +1,8 @@
 """Loaders for the embedded reference tables.
 
 published_tables.json holds, per (p, n), the reference list of radii classes
-and the nonzero three-point counts.  A record either lists every counted
-triple explicitly ("counts"), or gives unpermuted generator triples whose
-S_3 closure carries count 1 ("generators" + "closure_size") with "counts"
-entries layered on top.  base_overrides.json holds the default base-table
+("xi") and every ordered triple with a nonzero three-point count ("counts",
+entries {"triple", "N"}).  base_overrides.json holds the default base-table
 override entries (rule 4).
 """
 
@@ -46,21 +44,10 @@ def published_xi(p: int, n: int) -> tuple[RadiusClass, ...]:
 
 def published_counts(p: int, n: int) -> dict[Triple, int]:
     """Reference map triple -> N, with zero entries omitted."""
-    rec = _records()[(p, n)]
-    out: dict[Triple, int] = {}
-    for gen in rec.get("generators", ()):
-        t = tuple(canonical(p, e) for e in gen)
-        for perm in itertools.permutations(t):
-            out[perm] = 1
-    if "closure_size" in rec and len(out) != rec["closure_size"]:
-        raise ValueError(
-            f"generator closure for ({p},{n}) has {len(out)} triples,"
-            f" expected {rec['closure_size']}"
-        )
-    for entry in rec.get("counts", ()):
-        t = tuple(canonical(p, e) for e in entry["triple"])
-        out[t] = entry["N"]
-    return out
+    return {
+        tuple(canonical(p, e) for e in entry["triple"]): entry["N"]
+        for entry in _records()[(p, n)]["counts"]
+    }
 
 
 def load_overrides(entries) -> dict[tuple[int, int, Triple], tuple[int, str]]:

@@ -1,9 +1,4 @@
-"""Exact arithmetic in the p-th cyclotomic field and the closed-form count.
-
-CycloElem represents elements of Q(zeta_p) as rational vectors in the power
-basis 1, zeta, ..., zeta^{p-2}, with zeta^{p-1} rewritten through the minimal
-polynomial 1 + x + ... + x^{p-1}.  Inversion runs the extended Euclidean
-algorithm against that polynomial.
+"""The closed-form count of dormant opers on closed surfaces.
 
 verlinde_sum evaluates, over subsets S of the p-th roots of unity of size n,
 
@@ -11,10 +6,14 @@ verlinde_sum evaluates, over subsets S of the p-th roots of unity of size n,
 
 (the summand is symmetric, so summing over unordered subsets absorbs the 1/n!
 that would accompany ordered tuples with distinct entries).  The inner loop
-works in the
-integer group ring Z[x]/(x^p - 1): within each summand the root powers cancel
-against the denominator factors zeta^j, the sign (-1)^{n(n-1)} is +1, and each
-factor inverse (1 - zeta^k)^{-1} becomes integral after scaling by p, so a
+works in the integer group ring Z[x]/(x^p - 1), where x stands for zeta and
+the norm element 1 + x + ... + x^{p-1} stands for 0.  Within each summand the
+root powers cancel against the denominator factors zeta^j, the sign
+(-1)^{n(n-1)} is +1, and each factor inverse scaled by p is integral:
+
+    p / (1 - zeta^k) = -sum_{j=0}^{p-1} j zeta^{jk},
+
+because (1 - zeta^k) times the right side is p - sum_m zeta^m = p.  So a
 summand is an integer vector divided by a fixed power of p.  The summand
 depends only on the differences within S, so it is constant on translation
 orbits; each orbit has p members, n of which contain 0, and the sum runs over
@@ -26,163 +25,18 @@ checks the result is a nonnegative integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Sequence
 
 from .fp import check_odd_prime
 
 __all__ = [
-    "CycloElem",
     "verlinde_sum",
     "verlinde_count",
     "poly_n3_g2",
 ]
-
-Scalar = Union[int, Fraction]
-
-
-def _reduce(p: int, raw: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Fold arbitrary powers of zeta into the power basis of length p-1."""
-    folded = [Fraction(0)] * p
-    for e, c in enumerate(raw):
-        folded[e % p] += c
-    top = folded[p - 1]
-    return tuple(folded[i] - top for i in range(p - 1))
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] += f
-        for i, c in enumerate(b):
-            r[i + shift] -= f * c
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-@dataclass(frozen=True)
-class CycloElem:
-    """Element of Q(zeta_p) in the power basis, exact rational coefficients."""
-
-    p: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        check_odd_prime(self.p)
-        if len(self.coeffs) != self.p - 1:
-            raise ValueError(f"need {self.p - 1} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def zero(cls, p: int) -> "CycloElem":
-        return cls(p, (Fraction(0),) * (p - 1))
-
-    @classmethod
-    def rational(cls, p: int, q: Scalar) -> "CycloElem":
-        return cls(p, (Fraction(q),) + (Fraction(0),) * (p - 2))
-
-    @classmethod
-    def one(cls, p: int) -> "CycloElem":
-        return cls.rational(p, 1)
-
-    @classmethod
-    def root(cls, p: int, k: int) -> "CycloElem":
-        """zeta^k, already reduced."""
-        raw = [Fraction(0)] * p
-        raw[k % p] = Fraction(1)
-        return cls(p, _reduce(p, raw))
-
-    def _same_field(self, other: "CycloElem") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed fields p={self.p} and p={other.p}")
-
-    def __add__(self, other: "CycloElem") -> "CycloElem":
-        self._same_field(other)
-        return CycloElem(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycloElem") -> "CycloElem":
-        self._same_field(other)
-        return CycloElem(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycloElem":
-        return CycloElem(self.p, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: Union["CycloElem", Scalar]) -> "CycloElem":
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(self.p, tuple(a * other for a in self.coeffs))
-        self._same_field(other)
-        raw = [Fraction(0)] * (2 * self.p - 3)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        raw[i + j] += a * b
-        return CycloElem(self.p, _reduce(self.p, raw))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CycloElem":
-        if e < 0:
-            return self.inv() ** (-e)
-        out = CycloElem.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def inv(self) -> "CycloElem":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(1)] * self.p
-        a = list(self.coeffs)
-        # invariants: s * self == r (mod phi)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] += x * y
-            new_s = [Fraction(0)] * max(len(s0), len(prod))
-            for i, x in enumerate(s0):
-                new_s[i] += x
-            for i, x in enumerate(prod):
-                new_s[i] -= x
-            s0, s1 = s1, new_s
-        g = r1[0]
-        _, s_red = _poly_divmod([c / g for c in s1], phi)
-        s_red += [Fraction(0)] * (self.p - len(s_red))
-        return CycloElem(self.p, _reduce(self.p, s_red))
-
-    def as_rational(self) -> Fraction:
-        if any(self.coeffs[1:]):
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
 
 
 # integer group-ring helpers: vectors of length p indexed by zeta exponent
@@ -208,17 +62,23 @@ def _gr_rational(v: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _scaled_inverses(p: int) -> tuple[tuple[int, ...], ...]:
-    """Vectors of p * (1 - zeta^k)^{-1} for k = 1..p-1, checked integral."""
+    """Vectors of p * (1 - zeta^k)^{-1} for k = 1..p-1, with zeta^{p-1} coefficient 0.
+
+    Each is -sum_j j x^{jk} less a multiple of the norm element, and is checked
+    by multiplying back: (1 - x^k) times it must read as p.
+    """
     out = []
     for k in range(1, p):
-        inv = (CycloElem.one(p) - CycloElem.root(p, k)).inv() * p
-        vec = []
-        for c in inv.coeffs:
-            if c.denominator != 1:
-                raise ArithmeticError(f"p*(1-zeta^{k})^-1 not integral at p={p}")
-            vec.append(c.numerator)
-        vec.append(0)
-        out.append(tuple(vec))
+        vec = [0] * p
+        for j in range(p):
+            vec[j * k % p] = -j
+        top = vec[p - 1]
+        vec = tuple(c - top for c in vec)
+        factor = [0] * p
+        factor[0], factor[k] = 1, -1
+        if _gr_rational(_gr_mul(factor, vec, p)) != p:
+            raise ArithmeticError(f"(1-zeta^{k}) * p*(1-zeta^{k})^-1 != p at p={p}")
+        out.append(vec)
     return tuple(out)
 
 

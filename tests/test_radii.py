@@ -188,3 +188,30 @@ def test_hyp_set_contains_every_chain_triple():
     triples = hyp_set(7, 3)
     for alpha_l, beta_l in interleavings(7, 3):
         assert radii_triple(7, alpha_l, beta_l) in triples
+
+
+@given(st.data())
+def test_canonical_equals_the_checked_constructor(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n = data.draw(st.integers(1, p - 1))
+    es = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n))
+    got = canonical(p, es)
+    want = RadiusClass(p, _lexmin_translate(p, es))
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3), (11, 7), (13, 4)])
+def test_xi_classes_pass_the_checked_constructor(p, n):
+    for c in xi(p, n):
+        assert RadiusClass(p, c.elems) == c
+
+
+def test_lexmin_shortcut_keeps_the_other_checks():
+    with pytest.raises(ValueError):
+        RadiusClass._from_lexmin(5, (0, 5))
+    with pytest.raises(ValueError):
+        RadiusClass._from_lexmin(5, (0, 1, 2, 3, 4))
+    with pytest.raises(ValueError):
+        RadiusClass._from_lexmin(9, (0, 1))

@@ -2,87 +2,82 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from dormantops.fp import is_odd_prime
 from dormantops.fusion import FusionEngine
 from dormantops.radii import xi_size
-from dormantops.verlinde import CycloElem, poly_n3_g2, verlinde_count, verlinde_sum
+from dormantops.verlinde import (
+    _gr_mul,
+    _gr_rational,
+    _scaled_inverses,
+    poly_n3_g2,
+    verlinde_count,
+    verlinde_sum,
+)
 
 
-def test_roots_of_unity_relations():
-    one = CycloElem.one(7)
-    z = CycloElem.root(7, 3)
-    assert z ** 7 == one
-    assert z ** 0 == one
-    total = CycloElem.zero(7)
-    for k in range(7):
-        total = total + CycloElem.root(7, k)
-    assert total.is_zero()
+def _mul(u, v, p):
+    out = [0] * p
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[(i + j) % p] += a * b
+    return out
 
 
-def test_power_basis_folding():
-    """zeta^{p-1} rewrites through the minimal polynomial."""
-    z = CycloElem.root(5, 1)
-    top = z ** 4
-    assert top.coeffs == (Fraction(-1),) * 4
+def _root(p, k):
+    vec = [0] * p
+    vec[k % p] = 1
+    return vec
 
 
-def test_field_operations():
-    a = CycloElem(7, tuple(Fraction(k * k - 3, 5) for k in range(6)))
-    b = CycloElem.root(7, 2) - CycloElem.rational(7, 3)
-    assert (a + b) - b == a
-    assert a * b == b * a
-    assert (a * b).inv() == a.inv() * b.inv()
-    assert (a * a.inv()).as_rational() == 1
-    assert -(-a) == a
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.fractions(max_denominator=6), min_size=4, max_size=4))
-def test_inverse_round_trip(coeffs):
-    a = CycloElem(5, tuple(coeffs))
-    if a.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            a.inv()
-    else:
-        assert (a * a.inv()) == CycloElem.one(5)
-
-
-def test_as_rational_rejects_irrational_elements():
-    with pytest.raises(ValueError):
-        CycloElem.root(5, 1).as_rational()
-    assert CycloElem.rational(5, Fraction(2, 3)).as_rational() == Fraction(2, 3)
-
-
-def test_field_validation():
-    with pytest.raises(ValueError):
-        CycloElem(4, (Fraction(1),) * 3)
-    with pytest.raises(ValueError):
-        CycloElem(5, (Fraction(1),) * 3)
-    with pytest.raises(ValueError):
-        CycloElem.one(5) + CycloElem.one(7)
+def _as_rational(v):
+    """The rational number a vector of Z[x]/(x^p - 1) stands for in Q(zeta_p)."""
+    assert len(set(v[1:])) == 1, "not rational"
+    return v[0] - v[1]
 
 
 def _direct_sum(p, n, g):
-    """Per-term evaluation straight from the closed form, no group-ring shortcut."""
-    roots = [CycloElem.root(p, k) for k in range(p)]
-    total = CycloElem.zero(p)
+    """The closed form term by term: every n-subset, every ordered pair i != j.
+
+    Works in Z[x]/(x^p - 1) with x for zeta, writing each factor
+    (z_i - z_j)^{-1} = zeta^{-i} (1 - zeta^{j-i})^{-1} and
+    p (1 - zeta^k)^{-1} = -sum_m m zeta^{mk}.
+    """
     e = (n - 1) * (g - 1)
+    total = [0] * p
     for S in combinations(range(p), n):
-        num = CycloElem.one(p)
-        for k in S:
-            num = num * roots[k]
-        num = num ** e
-        den = CycloElem.one(p)
+        term = _root(p, e * sum(S))
         for i in S:
             for j in S:
                 if i != j:
-                    den = den * (roots[i] - roots[j]) ** (g - 1)
-        total = total + num * den.inv()
-    return total.as_rational() * Fraction(p) ** ((n - 1) * (g - 1) - 1)
+                    inv = [0] * p
+                    for m in range(p):
+                        inv[m * (j - i) % p] -= m
+                    factor = _mul(_root(p, -i), inv, p)
+                    for _ in range(g - 1):
+                        term = _mul(term, factor, p)
+        total = [a + b for a, b in zip(total, term)]
+    scale = Fraction(p) ** (n * (n - 1) * (g - 1))
+    return _as_rational(total) / scale * Fraction(p) ** (e - 1)
 
 
-@pytest.mark.parametrize("p,n,g", [(3, 2, 2), (5, 2, 2), (5, 3, 2)])
+@pytest.mark.parametrize("p", [q for q in range(3, 30) if is_odd_prime(q)])
+def test_scaled_inverses_multiply_back_to_p(p):
+    vecs = _scaled_inverses(p)
+    assert len(vecs) == p - 1
+    for k, vec in enumerate(vecs, start=1):
+        factor = [0] * p
+        factor[0], factor[k] = 1, -1
+        assert _gr_rational(_gr_mul(factor, vec, p)) == p
+        assert vec[-1] == 0
+
+
+def test_scaled_inverse_literal():
+    # (1 - x)(4 + 3x + 2x^2 + x^3) = 4 - x - x^2 - x^3 - x^4 = 5 - (1 + x + ... + x^4)
+    assert _scaled_inverses(5)[0] == (4, 3, 2, 1, 0)
+
+
+@pytest.mark.parametrize("p,n,g", [(3, 2, 2), (5, 2, 2), (5, 3, 2), (7, 2, 3), (7, 3, 2), (7, 4, 3)])
 def test_group_ring_path_matches_direct_evaluation(p, n, g):
     assert verlinde_sum(p, n, g) == _direct_sum(p, n, g)
 
@@ -115,9 +110,20 @@ def test_counts_inside_the_validity_window(p, n, g, value):
     assert verlinde_count(p, n, g) == value
 
 
-@pytest.mark.parametrize("p,n,g", [(7, 2, 3), (7, 3, 3), (11, 2, 2), (11, 2, 3)])
+SMALL = [(p, n, g) for p in (3, 5, 7) for n in range(2, p) for g in (2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "p,n,g",
+    [(7, 2, 3), (7, 3, 3), (11, 2, 2), (11, 2, 3)]
+    + [c for c in SMALL if c not in {(7, 2, 3), (7, 3, 3)}],
+)
 def test_count_matches_fusion_recursion(p, n, g):
-    assert verlinde_count(p, n, g) == FusionEngine(p, n).count(g, [])
+    """Inside the validity window against verlinde_count, everywhere against the bare sum."""
+    got = FusionEngine(p, n).count(g, [])
+    assert verlinde_sum(p, n, g) == got
+    if p > n * max(g - 1, 2):
+        assert verlinde_count(p, n, g) == got
 
 
 def test_validity_window_is_enforced():
