@@ -4,26 +4,31 @@ The base table N(rho1, rho2, rho3) counts dormant opers on a three-marked
 projective line with the given radii.  Entries are resolved in a fixed rule
 order:
 
-  1. top rank (n = p-1): 1 when every component is the unique full class;
-  2. hypergeometric component: when some component admits a translate of the
+  1. hypergeometric component: when some component admits a translate of the
      form {0, 1, ..., n-2, d}, the count is 1 if the triple arises from a
-     full-solution parameter chain (hyp_set) and 0 otherwise;
-  3. duality: resolve the componentwise negated-complement triple at
-     (p, p-n) with rules 1, 2 and the override data;
-  4. override data (shipped defaults cover the two known genus-2
+     full-solution parameter chain (hyp_set) and 0 otherwise (this covers
+     n = p-1, whose only class {0, ..., p-2} is of this form);
+  2. duality: resolve the componentwise negated-complement triple at
+     (p, p-n) with rule 1 and the override data;
+  3. override data (shipped defaults cover the two known genus-2
      factorization values at p = 7);
-  5. otherwise the entry is unknown, and using it raises loudly.
+  4. otherwise the entry is unknown, and using it raises loudly.
+
+The table stores one (value, source) per ordered triple of indices into
+Xi_{p,n}.  Rules 1 and 2 are invariant under permuting the triple (hyp_set
+is closed under S_3), so the table resolves them once per S_3 orbit, with the
+per-class data (complement dual, hypergeometric type on either side) computed
+once per class.
 
 On top of the table, counts for arbitrary genus g and r marked points follow
-the factorization recursion: a genus reduction glues in a handle (sum over a
-class and its negation dual), a boundary reduction splits off a three-point
-sphere.  The recursion runs on basis indices: values are memoized on
-(g, sorted tuple of indices into Xi_{p,n}), and since Xi_{p,n} is sorted this
-is the order of the radii themselves.  Every scalar is exact.
-
-Rules 1-3 are invariant under permuting the triple (hyp_set is closed under
-S_3), so the table resolves them once per S_3 orbit, with the per-class data
-(complement dual, hypergeometric type on either side) computed once per class.
+the factorization recursion on basis indices, memoized on (g, sorted tuple of
+indices); since Xi_{p,n} is sorted this is the order of the radii themselves.
+Its genus-0 base cases are the sphere (1), the disk (1 on the unit), the
+cylinder (1 on a class and its negation dual) and the three-point table; a
+genus reduction glues in a handle (sum over a class and its negation dual),
+and a boundary reduction splits off a three-point sphere.  Every scalar is
+exact, and every cobordism, unit, counit, pairing and copairing included, is
+evaluated by the same recursion.
 
 The same data is packaged as a commutative Frobenius algebra on the basis
 Xi_{p,n} (unit [[0,...,n-1]], pairing delta(eta, neg_dual(lambda))) whose
@@ -32,6 +37,7 @@ axioms are machine-checked by check_axioms.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -83,9 +89,11 @@ class Cobordism:
 class BaseTable:
     """Resolved three-point counts over all ordered triples from Xi_{p,n}.
 
-    Also owns the basis data the algebra and the engine share: index maps a
-    class to its position in basis, and dual_perm[i] is the index of
-    neg_dual(basis[i]).
+    Each ordered triple of basis indices holds one (value, source) cell; at()
+    is the only reader of the cells.  The table also owns the basis data the
+    algebra and the engine share: index maps a class to its position in
+    basis, dual_perm[i] is the index of neg_dual(basis[i]), and unit is the
+    index of the unit class [0, ..., n-1].
     """
 
     def __init__(self, p: int, n: int, overrides=None):
@@ -94,87 +102,93 @@ class BaseTable:
             raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
         self.p = p
         self.n = n
-        self._overrides = default_overrides() if overrides is None else dict(overrides)
         self.basis = basis = xi(p, n)
         self.index = {c: i for i, c in enumerate(basis)}
         self.dual_perm = tuple(self.index[neg_dual(c)] for c in basis)
+        self.unit = self.index[canonical(p, range(n))]
+        overrides = default_overrides() if overrides is None else overrides
+        k = len(basis)
         duals = [comp_dual(c) for c in basis]
         hyp = [is_hyp_type(c) for c in basis]
         dual_hyp = [is_hyp_type(c) for c in duals]
         by_orbit = {}
-        for idx in itertools.combinations_with_replacement(range(len(basis)), 3):
-            got = self._primary(p, n, tuple(basis[i] for i in idx), [hyp[i] for i in idx])
-            if got is None:
-                dual = tuple(duals[i] for i in idx)
-                got = self._primary(p, p - n, dual, [dual_hyp[i] for i in idx])
-                if got is not None:
-                    got = got[0], "dual:" + got[1]
-            by_orbit[idx] = got
-        self._entries: dict[Triple, tuple[Optional[int], str]] = {}
-        for idx in itertools.product(range(len(basis)), repeat=3):
-            triple = tuple(basis[i] for i in idx)
-            got = by_orbit[tuple(sorted(idx))]
+        for idx in itertools.combinations_with_replacement(range(k), 3):
+            if any(hyp[i] for i in idx):
+                by_orbit[idx] = (int(tuple(basis[i] for i in idx) in hyp_set(p, n)), "hyp")
+            elif any(dual_hyp[i] for i in idx):
+                by_orbit[idx] = (int(tuple(duals[i] for i in idx) in hyp_set(p, p - n)), "dual:hyp")
+        self._cells: list[tuple[Optional[int], str]] = [None] * k**3  # type: ignore[list-item]
+        for idx in itertools.product(range(k), repeat=3):
+            got = by_orbit.get(tuple(sorted(idx)))
             if got is None:
                 # override data need not be closed under S_3, so look up each order
-                got = self._override(triple, tuple(duals[i] for i in idx))
-            self._entries[triple] = got
+                triple = tuple(basis[i] for i in idx)
+                got = self._override(overrides, triple, tuple(duals[i] for i in idx))
+            self._cells[self._slot(idx)] = got
 
-    @staticmethod
-    def _primary(p: int, n: int, triple: Triple, hyp: Sequence[bool]) -> Optional[tuple[int, str]]:
-        if n == p - 1:
-            full = xi(p, n)[0]
-            return (1 if all(c == full for c in triple) else 0, "top-rank")
-        if any(hyp):
-            return (1 if triple in hyp_set(p, n) else 0, "hyp")
-        return None
-
-    def _override(self, triple: Triple, dual: Triple) -> tuple[Optional[int], str]:
-        key = (self.p, self.p - self.n, dual)
-        if key in self._overrides:
-            val, src = self._overrides[key]
-            return val, "dual:override:" + src
-        key = (self.p, self.n, triple)
-        if key in self._overrides:
-            val, src = self._overrides[key]
-            return val, "override:" + src
+    def _override(self, overrides, triple: Triple, dual: Triple) -> tuple[Optional[int], str]:
+        for key, tag in (((self.p, self.p - self.n, dual), "dual:override:"),
+                         ((self.p, self.n, triple), "override:")):
+            if key in overrides:
+                val, src = overrides[key]
+                return val, tag + src
         return None, "unknown"
 
-    def _check(self, triple: Sequence[RadiusClass]) -> Triple:
-        if len(triple) != 3:
-            raise ValueError(f"need a triple, got {len(triple)} classes")
-        for c in triple:
-            if not isinstance(c, RadiusClass) or c.p != self.p:
-                raise ValueError(f"component {c!r} does not live over p={self.p}")
-            if c.n != self.n or not c.in_xi:
-                raise ValueError(
-                    f"component {list(c.elems)} is not a distinct-entry class of size {self.n}"
-                )
-        return tuple(triple)  # type: ignore[return-value]
+    def _slot(self, idx: Sequence[int]) -> int:
+        k = len(self.basis)
+        i, j, l = idx
+        return (i * k + j) * k + l
+
+    def at(self, idx: Sequence[int]) -> tuple[Optional[int], str]:
+        """(value, source) of an ordered triple of basis indices."""
+        return self._cells[self._slot(idx)]
+
+    def indices(self, classes: Sequence[RadiusClass]) -> tuple[int, ...]:
+        """Basis indices of classes from Xi_{p,n}; ValueError for anything else."""
+        out = []
+        for c in classes:
+            i = self.index.get(c) if isinstance(c, RadiusClass) else None
+            if i is None:
+                what = f"class {list(c.elems)} over p={c.p}" if isinstance(c, RadiusClass) else repr(c)
+                raise ValueError(f"{what} is not in Xi_{{{self.p},{self.n}}}")
+            out.append(i)
+        return tuple(out)
+
+    def _triple(self, triple: Sequence[RadiusClass]) -> tuple[int, ...]:
+        idx = self.indices(triple)
+        if len(idx) != 3:
+            raise ValueError(f"need a triple, got {len(idx)} classes")
+        return idx
 
     def value(self, triple: Sequence[RadiusClass]) -> Optional[int]:
-        return self._entries[self._check(triple)][0]
+        return self.at(self._triple(triple))[0]
 
     def source(self, triple: Sequence[RadiusClass]) -> str:
-        return self._entries[self._check(triple)][1]
+        return self.at(self._triple(triple))[1]
 
     def entries(self) -> dict[Triple, tuple[Optional[int], str]]:
-        return dict(self._entries)
+        cube = itertools.product(range(len(self.basis)), repeat=3)
+        return {tuple(self.basis[i] for i in idx): self.at(idx) for idx in cube}  # type: ignore[misc]
 
     def nonzero(self) -> dict[Triple, int]:
-        return {t: v for t, (v, _) in self._entries.items() if v}
+        return {t: v for t, (v, _) in self.entries().items() if v}
 
-    def with_value(self, triple: Sequence[RadiusClass], value: int, symmetric: bool = True):
-        """Copy of the table with one entry (by default its whole S_3 orbit) replaced."""
-        t = self._check(triple)
-        clone = object.__new__(BaseTable)
-        clone.p, clone.n = self.p, self.n
-        clone._overrides = self._overrides
-        clone.basis, clone.index, clone.dual_perm = self.basis, self.index, self.dual_perm
-        clone._entries = dict(self._entries)
-        targets = set(itertools.permutations(t)) if symmetric else {t}
-        for perm in targets:
-            clone._entries[perm] = (value, "manual")
+    def with_value(self, triple: Sequence[RadiusClass], value: int) -> "BaseTable":
+        """Copy of the table with one entry's whole S_3 orbit replaced."""
+        idx = self._triple(triple)
+        clone = copy.copy(self)
+        clone._cells = list(self._cells)
+        for perm in itertools.permutations(idx):
+            clone._cells[self._slot(perm)] = (value, "manual")
         return clone
+
+
+def _table_for(p: int, n: int, table: Optional[BaseTable]) -> BaseTable:
+    if table is None:
+        return BaseTable(p, n)
+    if (table.p, table.n) != (p, n):
+        raise ValueError(f"table is for p={table.p}, n={table.n}, not p={p}, n={n}")
+    return table
 
 
 def base_n(p: int, n: int, triple: Sequence[RadiusClass], overrides=None) -> Optional[int]:
@@ -191,18 +205,16 @@ class FusionAlgebra:
         self.table = table
         self.basis = table.basis
         self.index = table.index
-        self.unit = canonical(self.p, range(self.n))
+        self.unit = table.unit
         self.dual_perm = table.dual_perm
         k = len(self.basis)
         self.structure = [[[0] * k for _ in range(k)] for _ in range(k)]
-        entries = table.entries()
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
+        for i in range(k):
+            for j in range(k):
                 for t, d in enumerate(self.dual_perm):
-                    triple = (a, b, self.basis[d])
-                    v = entries[triple][0]
+                    v = table.at((i, j, d))[0]
                     if v is None:
-                        raise UnresolvedBaseError(self.p, self.n, triple)
+                        raise UnresolvedBaseError(self.p, self.n, tuple(self.basis[x] for x in (i, j, d)))
                     self.structure[i][j][t] = v
 
     def multiply(self, va: Sequence, vb: Sequence) -> list:
@@ -227,16 +239,16 @@ class FusionAlgebra:
 
 
 def algebra(p: int, n: int, table: Optional[BaseTable] = None) -> FusionAlgebra:
-    return FusionAlgebra(table if table is not None else BaseTable(p, n))
+    return FusionAlgebra(_table_for(p, n, table))
 
 
 class FusionEngine:
     """Memoized counts over surfaces of arbitrary genus and marked points."""
 
     def __init__(self, p: int, n: int, table: Optional[BaseTable] = None):
-        self.table = table if table is not None else BaseTable(p, n)
-        self.p = self.table.p
-        self.n = self.table.n
+        self.table = _table_for(p, n, table)
+        self.p = p
+        self.n = n
         self.basis = self.table.basis
         self.index = self.table.index
         self.dual_perm = self.table.dual_perm
@@ -248,11 +260,11 @@ class FusionEngine:
     def _base(self, idx: tuple[int, int, int]) -> int:
         v = self._base_values.get(idx)
         if v is None:
+            v, src = self.table.at(idx)
             triple = tuple(self.basis[i] for i in idx)
-            v = self.table.value(triple)
             if v is None:
                 raise UnresolvedBaseError(self.p, self.n, triple)
-            self.used[triple] = (v, self.table.source(triple))
+            self.used[triple] = (v, src)
             self._base_values[idx] = v
         return v
 
@@ -268,24 +280,16 @@ class FusionEngine:
     def count(self, g: int, radii: Sequence[RadiusClass] = ()) -> int:
         """Number of dormant opers of the given radii on a genus-g surface.
 
-        Valid for 2g - 2 + r > 0 and for the closed surfaces of genus 0 and 1,
-        whose values are direct.
+        Valid for 2g - 2 + r > 0 and for the closed surfaces of genus 0 and 1:
+        the sphere is the empty base case, and the torus glues the cylinder.
         """
         if not isinstance(g, int) or g < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
-        checked = []
-        for c in radii:
-            if not isinstance(c, RadiusClass) or c.p != self.p:
-                raise ValueError(f"radius {c!r} does not live over p={self.p}")
-            if c.n != self.n or not c.in_xi:
-                raise ValueError(
-                    f"radius {list(c.elems)} is not a distinct-entry class of size {self.n}"
-                )
-            checked.append(c)
-        r = len(checked)
+        idx = self.table.indices(radii)
+        r = len(idx)
         if 2 * g - 2 + r <= 0 and not (r == 0 and g in (0, 1)):
             raise ValueError(f"no stable surface with genus {g} and {r} marked points")
-        return self._glue(g, [self.index[c] for c in checked])
+        return self._glue(g, idx)
 
     def _count(self, g: int, key: tuple[int, ...]) -> int:
         memo_key = (g, key)
@@ -293,14 +297,16 @@ class FusionEngine:
         if got is not None:
             return got
         r = len(key)
-        if r == 0 and g == 0:
-            v = 1
-        elif r == 0 and g == 1:
-            v = len(self.basis)
-        elif g > 0:
+        if g > 0:
             v = 0
             for c, d in enumerate(self.dual_perm):
                 v += self._count(g - 1, tuple(sorted(key + (c, d))))
+        elif r == 0:
+            v = 1
+        elif r == 1:  # the disk
+            v = int(key[0] == self.table.unit)
+        elif r == 2:  # the cylinder
+            v = int(key[1] == self.dual_perm[key[0]])
         elif r == 3:
             v = self._base(key)  # type: ignore[arg-type]
         else:
@@ -317,7 +323,8 @@ class FusionEngine:
         """Linear map of the surface on tensors over the class basis.
 
         Tensors are mappings from r-tuples of classes to exact scalars; the
-        scalar slot of a rank-0 tensor is keyed by ().
+        scalar slot of a rank-0 tensor is keyed by ().  The output coefficient
+        at lambda is the count with the inputs and the duals of lambda marked.
         """
         g, r, s = cob.genus, cob.n_in, cob.n_out
         items = []
@@ -325,44 +332,16 @@ class FusionEngine:
             key = tuple(key)
             if len(key) != r:
                 raise ValueError(f"tensor key {key} does not have arity {r}")
-            for c in key:
-                if not isinstance(c, RadiusClass) or c.p != self.p or c.n != self.n or not c.in_xi:
-                    raise ValueError(f"tensor key component {c!r} is not a basis class")
-            items.append((key, val))
+            items.append((self.table.indices(key), val))
         out: dict[tuple, object] = {}
-
-        def add(key, val):
-            if val:
-                out[key] = out.get(key, 0) + val
-
-        if (g, r, s) == (0, 1, 1):
-            for key, val in items:
-                add(key, val)
-        elif (g, r, s) == (0, 0, 1):
-            unit = canonical(self.p, range(self.n))
-            for key, val in items:
-                add((unit,), val)
-        elif (g, r, s) == (0, 1, 0):
-            unit = canonical(self.p, range(self.n))
-            for (c,), val in items:
-                add((), val if c == unit else 0)
-        elif (g, r, s) == (0, 0, 2):
-            for key, val in items:
-                for c in self.basis:
-                    add((c, neg_dual(c)), val)
-        elif (g, r, s) == (0, 2, 0):
-            for (c1, c2), val in items:
-                add((), val if c2 == neg_dual(c1) else 0)
-        elif 2 * g - 2 + r + s > 0 or (r + s == 0 and g in (0, 1)):
-            for key, val in items:
-                if not val:
-                    continue
-                idx = [self.index[c] for c in key]
-                for lam in itertools.product(range(len(self.basis)), repeat=s):
-                    glued = idx + [self.dual_perm[i] for i in lam]
-                    add(tuple(self.basis[i] for i in lam), val * self._glue(g, glued))
-        else:
-            raise ValueError(f"surface ({g},{r},{s}) has no stable evaluation")
+        for idx, val in items:
+            if not val:
+                continue
+            for lam in itertools.product(range(len(self.basis)), repeat=s):
+                w = val * self._glue(g, idx + tuple(self.dual_perm[i] for i in lam))
+                if w:
+                    key = tuple(self.basis[i] for i in lam)
+                    out[key] = out.get(key, 0) + w
         return out
 
 
@@ -405,9 +384,8 @@ class AxiomReport:
 
 def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomReport:
     """Machine check of the Frobenius-algebra axioms; failures become report rows."""
-    if table is None:
-        table = BaseTable(p, n)
-    report = AxiomReport(p=table.p, n=table.n)
+    table = _table_for(p, n, table)
+    report = AxiomReport(p=p, n=n)
     alg = FusionAlgebra(table)
     basis = alg.basis
     k = len(basis)
@@ -419,13 +397,10 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
         )
 
     witness = None
-    entries = table.entries()
-    for t, (v, _) in entries.items():
-        for perm in itertools.permutations(t):
-            if entries[perm][0] != v:
-                witness = f"{[list(c.elems) for c in t]} vs permutation"
-                break
-        if witness:
+    for idx in itertools.product(range(k), repeat=3):
+        v = table.at(idx)[0]
+        if any(table.at(perm)[0] != v for perm in itertools.permutations(idx)):
+            witness = f"{[list(basis[i].elems) for i in idx]} vs permutation"
             break
     run("base-s3-symmetric", witness)
 
@@ -461,15 +436,11 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
     run("associative", witness)
 
     witness = None
-    u = alg.index.get(alg.unit)
-    if u is None:
-        witness = f"unit class {list(alg.unit.elems)} not in basis"
-    else:
-        for j in range(k):
-            expect = [1 if t == j else 0 for t in range(k)]
-            if alg.structure[u][j] != expect:
-                witness = f"unit * {name_of(j)}"
-                break
+    for j in range(k):
+        expect = [1 if t == j else 0 for t in range(k)]
+        if alg.structure[alg.unit][j] != expect:
+            witness = f"unit * {name_of(j)}"
+            break
     run("unit", witness)
 
     witness = None

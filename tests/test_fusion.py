@@ -69,7 +69,7 @@ def test_genus_zero_overrides_and_their_sources():
     t76 = BaseTable(7, 6)
     full = xi(7, 6)[0]
     assert t76.value((full, full, full)) == 1
-    assert t76.source((full, full, full)) == "top-rank"
+    assert t76.source((full, full, full)) == "hyp"
 
 
 def _resolve_one(p, n, triple, overrides):
@@ -77,7 +77,7 @@ def _resolve_one(p, n, triple, overrides):
 
     def primary(m, t):
         if m == p - 1:
-            return (1 if all(c == xi(p, m)[0] for c in t) else 0, "top-rank")
+            return (1 if all(c == xi(p, m)[0] for c in t) else 0, "hyp")
         if any(is_hyp_type(c) for c in t):
             return (1 if t in hyp_set(p, m) else 0, "hyp")
         return None
@@ -305,3 +305,84 @@ def test_default_overrides_hold_both_known_base_values():
     table = default_overrides()
     assert table[(7, 3, (W5, W5, W5))][0] == 2
     assert table[(7, 4, (V5, V5, V5))][0] == 2
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
+def test_tqft_identities_through_the_gluing_recursion(p, n):
+    engine = FusionEngine(p, n)
+    basis = xi(p, n)
+    unit = canonical(p, range(n))
+    disk = engine.evaluate(Cobordism(0, 0, 1), {(): 1})
+    assert disk == {(unit,): 1}
+    assert engine.evaluate(Cobordism(0, 1, 0), disk) == {(): 1}
+    for c in basis:
+        assert engine.evaluate(Cobordism(0, 1, 1), {(c,): 1}) == {(c,): 1}
+        assert engine.evaluate(Cobordism(0, 2, 1), {(unit, c): 1}) == {(c,): 1}
+    copairing = engine.evaluate(Cobordism(0, 0, 2), {(): 1})
+    k = engine.count(1, [])
+    assert k == len(basis)
+    assert engine.evaluate(Cobordism(0, 2, 0), copairing) == {(): k}
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
+def test_evaluate_coefficients_are_counts_with_dual_outputs(p, n):
+    engine = FusionEngine(p, n)
+    basis = xi(p, n)
+    shapes = [(g, r, s) for g in (0, 1, 2) for r in range(3) for s in range(3)
+              if 2 * g - 2 + r + s > 0 and (g < 2 or r + s <= 2)]
+    for g, r, s in shapes:
+        for key in itertools.product(basis, repeat=r):
+            out = engine.evaluate(Cobordism(g, r, s), {key: 1})
+            for lam in itertools.product(basis, repeat=s):
+                want = engine.count(g, list(key) + [neg_dual(c) for c in lam])
+                assert out.get(lam, 0) == want, (g, r, s, key, lam)
+
+
+def test_with_value_replaces_the_whole_orbit_in_a_copy():
+    table = BaseTable(7, 3)
+    before = table.entries()
+    w = xi(7, 3)
+    triple = (w[0], w[2], w[4])
+    bad = table.with_value(triple, 7)
+    for perm in itertools.permutations(triple):
+        assert bad.value(perm) == 7
+        assert bad.source(perm) == "manual"
+    assert table.entries() == before
+    changed = {t for t, got in bad.entries().items() if got != before[t]}
+    assert changed == set(itertools.permutations(triple))
+
+
+P5_A = canonical(5, (0, 1))
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 1), 1, "0,1", canonical(7, (0, 1)), canonical(5, (0, 1, 2)), canonical(5, (0, 0)),
+], ids=["tuple", "int", "str", "wrong-p", "wrong-n", "repeated"])
+@pytest.mark.parametrize("call", [
+    lambda t, e, c: t.value((c, P5_A, P5_A)),
+    lambda t, e, c: t.source((P5_A, c, P5_A)),
+    lambda t, e, c: e.count(0, [P5_A, P5_A, c]),
+    lambda t, e, c: e.evaluate(Cobordism(0, 1, 1), {(P5_A,): 1, (c,): 1}),
+], ids=["value", "source", "count", "evaluate"])
+def test_classes_outside_xi_are_rejected(bad, call):
+    table = BaseTable(5, 2)
+    with pytest.raises(ValueError, match=r"is not in Xi_\{5,2\}"):
+        call(table, FusionEngine(5, 2, table), bad)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_top_rank_table_is_the_single_hyp_entry(p):
+    table = BaseTable(p, p - 1)
+    full = canonical(p, range(p - 1))
+    assert table.entries() == {(full, full, full): (1, "hyp")}
+
+
+def test_a_table_for_other_p_n_is_refused():
+    table = BaseTable(7, 3)
+    with pytest.raises(ValueError, match="p=7, n=3"):
+        FusionEngine(11, 2, table)
+    with pytest.raises(ValueError, match="p=7, n=3"):
+        algebra(11, 2, table)
+    with pytest.raises(ValueError, match="p=7, n=3"):
+        check_axioms(7, 4, table)
+    assert FusionEngine(7, 3, table).count(2, []) == 56
