@@ -206,14 +206,26 @@ def interleavings(p: int, n: int):
 
 @lru_cache(maxsize=None)
 def hyp_set(p: int, n: int) -> frozenset[tuple[RadiusClass, RadiusClass, RadiusClass]]:
-    """Every permutation of every radii triple of a full-solution parameter tuple."""
-    out = set()
+    """Every permutation of every radii triple of a full-solution parameter tuple.
+
+    A component is resolved by lookup in Xi_{p,n}: every sorted translate with 0
+    of every class of xi(p, n) is mapped to the index of its class, and a
+    component, translated by its first entry and sorted, is one of those keys
+    exactly when its entries are distinct.  The chain forces distinct entries,
+    so a miss (a repeated entry) raises AssertionError.  The triples are
+    collected as index triples and permuted once each at the end.
+    """
+    classes = xi(p, n)
+    index = {t: i for i, c in enumerate(classes) for t in _zero_translates(p, c.elems)}
+    triples = set()
     for alpha_l, beta_l in interleavings(p, n):
-        triple = radii_triple(p, [a % p for a in alpha_l], [b % p for b in beta_l])
-        # the chain forces distinct entries in all three exponent multisets
-        for comp in triple:
-            if not comp.in_xi:
-                raise AssertionError(f"non-distinct exponent class {comp} from chain")
-        for perm in itertools.permutations(triple):
-            out.add(perm)
-    return frozenset(out)
+        triple = []
+        for es in exponents(p, alpha_l, beta_l):
+            i = index.get(tuple(sorted((e - es[0]) % p for e in es)))
+            if i is None:
+                raise AssertionError(f"non-distinct exponent class {canonical(p, es)} from chain")
+            triple.append(i)
+        triples.add(tuple(triple))
+    return frozenset(
+        tuple(classes[i] for i in perm) for t in triples for perm in itertools.permutations(t)
+    )

@@ -6,10 +6,10 @@ verlinde_sum evaluates, over subsets S of the p-th roots of unity of size n,
 
 (the summand is symmetric, so summing over unordered subsets absorbs the 1/n!
 that would accompany ordered tuples with distinct entries).  The inner loop
-works in the integer group ring Z[x]/(x^p - 1), where x stands for zeta and
-the norm element 1 + x + ... + x^{p-1} stands for 0.  Within each summand the
-root powers cancel against the denominator factors zeta^j, the sign
-(-1)^{n(n-1)} is +1, and each factor inverse scaled by p is integral:
+works in the integer group ring R = Z[x]/(x^p - 1), where x stands for zeta
+and the norm element N = 1 + x + ... + x^{p-1} stands for 0.  Within each
+summand the root powers cancel against the denominator factors zeta^j, the
+sign (-1)^{n(n-1)} is +1, and each factor inverse scaled by p is integral:
 
     p / (1 - zeta^k) = -sum_{j=0}^{p-1} j zeta^{jk},
 
@@ -17,7 +17,31 @@ because (1 - zeta^k) times the right side is p - sum_m zeta^m = p.  So a
 summand is an integer vector divided by a fixed power of p.  The summand
 depends only on the differences within S, so it is constant on translation
 orbits; each orbit has p members, n of which contain 0, and the sum runs over
-the subsets that contain 0, scaled by p/n.  The Galois action is not used.
+the subsets that contain 0, scaled by p/n.
+
+The sum over those subsets runs over multiplicative orbits.  For d a unit mod
+p, sigma_d: x -> x^d permutes the monomials of R, so it is a ring
+automorphism, and it fixes N.  Since v N = (sum of the coefficients of v) N,
+the multiples of N form the ideal Z N, and congruence mod Z N is kept by sums
+and products.  The vector scaled(k) of p/(1-zeta^k) (scaled[k - 1] below) is
+-sum_j j x^{jk} less a multiple of N, and sigma_d sends -sum_j j x^{jk} to
+-sum_j j x^{jdk}, so, with indices mod p,
+
+    sigma_d(scaled(k)) = scaled(dk)  mod Z N,
+
+hence sigma_d(W[k]) = W[dk] for the pair factors W below, and the pair product
+term(S) over a subset S satisfies term(d S) = sigma_d(term(S)) mod Z N.  The
+map S -> d S keeps 0 in S, so it permutes the subsets with 0.  Each orbit
+under it is visited once, at its representative: the subset, as a sorted
+tuple, that is least among its images d S for d = 1..p-1, so an orbit needs
+no set of visited members.  Its pair product is computed once, and
+sigma_d(term) is added for one d per distinct image (the least such d), an
+index permutation.
+
+The total vector is still built in full.  It differs from the subset-by-subset
+total only by an integer multiple of N, which changes neither the value
+_gr_rational reads (v[0] - v[1]) nor its test that v[1] = ... = v[p-1], so
+the rationality check gives the verdict and value of the direct sum.
 
 verlinde_count applies the validity window g >= 2, p > n * max(g-1, 2) and
 checks the result is a nonnegative integer.
@@ -103,11 +127,22 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
         W[d] = acc
     total = [0] * p
     for rest in combinations(range(1, p), n - 1):
-        term = list(one)
-        for a, b in combinations((0,) + rest, 2):
-            term = _gr_mul(term, W[(a - b) % p], p)
-        for i in range(p):
-            total[i] += term[i]
+        subset = (0,) + rest
+        # the distinct images d * subset, each with its least d; stop at a lesser one
+        images = {}
+        for d in range(1, p):
+            image = tuple(sorted(d * s % p for s in subset))
+            if image < subset:
+                break
+            images.setdefault(image, d)
+        else:
+            term = list(one)
+            for a, b in combinations(subset, 2):
+                term = _gr_mul(term, W[(a - b) % p], p)
+            # term(d * subset) = sigma_d(term) modulo multiples of N
+            for d in images.values():
+                for i, c in enumerate(term):
+                    total[d * i % p] += c
     # the subsets with 0 hold n of the p members of each translation orbit
     value = Fraction(p, n) * _gr_rational(total)
     # undo the p^2 scale on each of the n(n-1)/2 * (g-1) pair factors

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from dormantops import radii
 from dormantops.radii import (
     RadiusClass,
     _lexmin_translate,
@@ -171,10 +172,29 @@ def test_interleavings_match_a_brute_force_filter(p, n):
 
 @pytest.mark.parametrize(
     "p,n,size",
-    [(3, 2, 1), (5, 2, 5), (5, 3, 5), (5, 4, 1), (7, 2, 14), (7, 3, 52), (7, 4, 45), (7, 5, 13), (7, 6, 1)],
+    [(3, 2, 1), (5, 2, 5), (5, 3, 5), (5, 4, 1), (7, 2, 14), (7, 3, 52), (7, 4, 45), (7, 5, 13), (7, 6, 1),
+     (11, 2, 55), (11, 3, 869), (11, 4, 2218), (11, 7, 868), (11, 8, 231), (11, 9, 31),
+     (13, 2, 91), (13, 3, 2251), (13, 10, 366), (13, 11, 40)],
 )
 def test_hyp_set_sizes(p, n, size):
     assert len(hyp_set(p, n)) == size
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_hyp_set_matches_the_chain_by_chain_reference(p):
+    """The lookup in Xi gives the set that canonicalizing every chain's triple gives."""
+    for n in range(2, p):
+        want = set()
+        for alpha_l, beta_l in interleavings(p, n):
+            want.update(itertools.permutations(radii_triple(p, alpha_l, beta_l)))
+        assert hyp_set(p, n) == want
+
+
+def test_hyp_set_refuses_a_chain_with_a_repeated_entry(monkeypatch):
+    # beta = (1, 2) and alpha = (1, 1, 2) repeat entries in e1 and e3
+    monkeypatch.setattr(radii, "interleavings", lambda p, n: iter([((1, 1, 2), (1, 2))]))
+    with pytest.raises(AssertionError, match="non-distinct exponent class"):
+        hyp_set.__wrapped__(5, 3)
 
 
 def test_hyp_set_is_symmetric():

@@ -77,9 +77,30 @@ def test_scaled_inverse_literal():
     assert _scaled_inverses(5)[0] == (4, 3, 2, 1, 0)
 
 
-@pytest.mark.parametrize("p,n,g", [(3, 2, 2), (5, 2, 2), (5, 3, 2), (7, 2, 3), (7, 3, 2), (7, 4, 3)])
+# the last five include orbits with nontrivial stabilizers under S -> d S:
+# {0} with the squares mod 11 at (11, 6) and {0, 1, 3, 9} at (13, 4)
+@pytest.mark.parametrize("p,n,g", [
+    (3, 2, 2), (5, 2, 2), (5, 3, 2), (7, 2, 3), (7, 3, 2), (7, 4, 3),
+    (5, 4, 2), (7, 5, 2), (7, 6, 2), (11, 6, 2), (13, 4, 2),
+])
 def test_group_ring_path_matches_direct_evaluation(p, n, g):
     assert verlinde_sum(p, n, g) == _direct_sum(p, n, g)
+
+
+PRIMES_TO_13 = [3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_13)
+def test_rank_one_sum_is_the_empty_pair_product(p):
+    for g in range(1, 5):
+        assert verlinde_sum(p, 1, g) == 1
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_13)
+def test_sum_is_symmetric_under_n_to_p_minus_n(p):
+    for n in range(1, p):
+        for g in range(1, 5):
+            assert verlinde_sum(p, n, g) == verlinde_sum(p, p - n, g)
 
 
 @pytest.mark.parametrize("p,n,g,value", [
