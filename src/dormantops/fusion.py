@@ -1,4 +1,4 @@
-"""Three-point counts of dormant-oper radii and the surface recursion.
+"""Three-point counts of dormant-oper radii and the surface counts built on them.
 
 The base table N(rho1, rho2, rho3) counts dormant opers on a three-marked
 projective line with the given radii.  Entries are resolved in a fixed rule
@@ -20,15 +20,18 @@ is closed under S_3), so the table resolves them once per S_3 orbit, with the
 per-class data (complement dual, hypergeometric type on either side) computed
 once per class.
 
-On top of the table, counts for arbitrary genus g and r marked points follow
-the factorization recursion on basis indices, memoized on (g, sorted tuple of
-indices); since Xi_{p,n} is sorted this is the order of the radii themselves.
-Its genus-0 base cases are the sphere (1), the disk (1 on the unit), the
-cylinder (1 on a class and its negation dual) and the three-point table; a
-genus reduction glues in a handle (sum over a class and its negation dual),
-and a boundary reduction splits off a three-point sphere.  Every scalar is
-exact, and every cobordism, unit, counit, pairing and copairing included, is
-evaluated by the same recursion.
+On top of the table, a genus-g surface with radii rho_1 <= ... <= rho_r (in
+basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle
+h = sum_c e_c e_{dual c} and eps the coefficient of the unit.  FusionEngine
+computes it as one chain on sparse vectors over basis indices: start from
+e_rho_1 (the unit when r = 0), multiply by M_a, (v e_a)_t =
+sum_s v_s N(s, a, dual t), for each further radius, and apply
+v -> sum_c (v e_c) e_{dual c} for every handle but the last.  The last two
+factors close by contraction: sum_s v_s N(s, a, b) at genus 0 and
+sum_c sum_s v_s N(s, c, dual c) otherwise; one radius left reads v at its
+dual, none reads v at the unit.  Only rows in the support of v are read, so
+the cost is linear in g + r.  Every scalar is an exact integer, and every
+cobordism, unit, counit, pairing and copairing included, goes through the chain.
 
 The same data is packaged as a commutative Frobenius algebra on the basis
 Xi_{p,n} (unit [[0,...,n-1]], pairing delta(eta, neg_dual(lambda))) whose
@@ -243,7 +246,12 @@ def algebra(p: int, n: int, table: Optional[BaseTable] = None) -> FusionAlgebra:
 
 
 class FusionEngine:
-    """Memoized counts over surfaces of arbitrary genus and marked points."""
+    """Counts over surfaces of arbitrary genus and marked points, one chain each.
+
+    memo holds every answered count, keyed by (g, sorted tuple of basis
+    indices); used holds every base entry the chains read, keyed by its
+    ordered triple of classes, with the table's (value, source).
+    """
 
     def __init__(self, p: int, n: int, table: Optional[BaseTable] = None):
         self.table = _table_for(p, n, table)
@@ -252,36 +260,68 @@ class FusionEngine:
         self.basis = self.table.basis
         self.index = self.table.index
         self.dual_perm = self.table.dual_perm
-        # keyed by (g, sorted tuple of basis indices)
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.used: dict[Triple, tuple[int, str]] = {}
-        self._base_values: dict[tuple[int, int, int], int] = {}
+        # keyed by index triple: building class triples on every read cost more than the chain
+        self._read: dict[tuple[int, int, int], tuple[int, str]] = {}
 
-    def _base(self, idx: tuple[int, int, int]) -> int:
-        v = self._base_values.get(idx)
-        if v is None:
-            v, src = self.table.at(idx)
-            triple = tuple(self.basis[i] for i in idx)
-            if v is None:
-                raise UnresolvedBaseError(self.p, self.n, triple)
-            self.used[triple] = (v, src)
-            self._base_values[idx] = v
-        return v
+    @property
+    def used(self) -> dict[Triple, tuple[int, str]]:
+        return {tuple(self.basis[i] for i in idx): cell for idx, cell in self._read.items()}  # type: ignore[misc]
 
-    def _glue(self, g: int, idx: Sequence[int]) -> int:
-        """The recursion on basis indices in any order, guarded against its depth."""
-        try:
-            return self._count(g, tuple(sorted(idx)))
-        except RecursionError:
-            raise ValueError(
-                f"genus {g} with {len(idx)} marked points is too deep for the gluing recursion"
-            ) from None
+    def _entry(self, idx: tuple[int, int, int]) -> int:
+        cell = self.table.at(idx)
+        if cell[0] is None:
+            raise UnresolvedBaseError(self.p, self.n, tuple(self.basis[i] for i in idx))
+        self._read[idx] = cell  # type: ignore[assignment]
+        return cell[0]
+
+    def _times(self, v: dict[int, int], a: int) -> dict[int, int]:
+        """The product v e_a, reading the rows of the support of v."""
+        out: dict[int, int] = {}
+        for s, x in v.items():
+            for t, d in enumerate(self.dual_perm):
+                w = self._entry((s, a, d))
+                if w:
+                    out[t] = out.get(t, 0) + x * w
+        return out
+
+    def _pair(self, v: dict[int, int], a: int, b: int) -> int:
+        """eps(v e_a e_b) = sum_s v_s N(s, a, b)."""
+        return sum(x * self._entry((s, a, b)) for s, x in v.items())
+
+    def _chain(self, g: int, idx: Sequence[int]) -> int:
+        """The chain on basis indices in any order; see the module docstring."""
+        key = (g, tuple(sorted(idx)))
+        got = self.memo.get(key)
+        if got is not None:
+            return got
+        marks = key[1]
+        v, rest = ({marks[0]: 1}, marks[1:]) if marks else ({self.table.unit: 1}, ())
+        if g == 0:
+            for a in rest[:-2]:
+                v = self._times(v, a)
+            if len(rest) >= 2:
+                value = self._pair(v, rest[-2], rest[-1])
+            else:
+                value = v.get(self.dual_perm[rest[0]] if rest else self.table.unit, 0)
+        else:
+            for a in rest:
+                v = self._times(v, a)
+            for _ in range(g - 1):
+                h: dict[int, int] = {}
+                for c, d in enumerate(self.dual_perm):
+                    for t, y in self._times(self._times(v, c), d).items():
+                        h[t] = h.get(t, 0) + y
+                v = h
+            value = sum(self._pair(v, c, d) for c, d in enumerate(self.dual_perm))
+        self.memo[key] = value
+        return value
 
     def count(self, g: int, radii: Sequence[RadiusClass] = ()) -> int:
-        """Number of dormant opers of the given radii on a genus-g surface.
+        """Number of dormant opers of the given radii on a genus-g surface, by one chain.
 
-        Valid for 2g - 2 + r > 0 and for the closed surfaces of genus 0 and 1:
-        the sphere is the empty base case, and the torus glues the cylinder.
+        Valid for 2g - 2 + r > 0 and for the closed surfaces of genus 0 and 1;
+        the chain (module docstring) is linear in g + r, so any genus finishes.
         """
         if not isinstance(g, int) or g < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
@@ -289,42 +329,15 @@ class FusionEngine:
         r = len(idx)
         if 2 * g - 2 + r <= 0 and not (r == 0 and g in (0, 1)):
             raise ValueError(f"no stable surface with genus {g} and {r} marked points")
-        return self._glue(g, idx)
-
-    def _count(self, g: int, key: tuple[int, ...]) -> int:
-        memo_key = (g, key)
-        got = self.memo.get(memo_key)
-        if got is not None:
-            return got
-        r = len(key)
-        if g > 0:
-            v = 0
-            for c, d in enumerate(self.dual_perm):
-                v += self._count(g - 1, tuple(sorted(key + (c, d))))
-        elif r == 0:
-            v = 1
-        elif r == 1:  # the disk
-            v = int(key[0] == self.table.unit)
-        elif r == 2:  # the cylinder
-            v = int(key[1] == self.dual_perm[key[0]])
-        elif r == 3:
-            v = self._base(key)  # type: ignore[arg-type]
-        else:
-            v = 0
-            a, b, rest = key[0], key[1], key[2:]
-            for c, d in enumerate(self.dual_perm):
-                w = self._base((a, b, c))
-                if w:
-                    v += w * self._count(0, tuple(sorted((d,) + rest)))
-        self.memo[memo_key] = v
-        return v
+        return self._chain(g, idx)
 
     def evaluate(self, cob: Cobordism, tensor: Mapping[tuple, object]) -> dict[tuple, object]:
         """Linear map of the surface on tensors over the class basis.
 
         Tensors are mappings from r-tuples of classes to exact scalars; the
         scalar slot of a rank-0 tensor is keyed by ().  The output coefficient
-        at lambda is the count with the inputs and the duals of lambda marked.
+        at lambda is the count with the inputs and the duals of lambda marked,
+        one chain of multiplication operators each, as in count.
         """
         g, r, s = cob.genus, cob.n_in, cob.n_out
         items = []
@@ -338,7 +351,7 @@ class FusionEngine:
             if not val:
                 continue
             for lam in itertools.product(range(len(self.basis)), repeat=s):
-                w = val * self._glue(g, idx + tuple(self.dual_perm[i] for i in lam))
+                w = val * self._chain(g, idx + tuple(self.dual_perm[i] for i in lam))
                 if w:
                     key = tuple(self.basis[i] for i in lam)
                     out[key] = out.get(key, 0) + w
@@ -405,33 +418,18 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
     run("base-s3-symmetric", witness)
 
     witness = None
-    for i in range(k):
-        for j in range(k):
-            if alg.structure[i][j] != alg.structure[j][i]:
-                witness = f"{name_of(i)} * {name_of(j)}"
-                break
-        if witness:
+    for i, j in itertools.product(range(k), repeat=2):
+        if alg.structure[i][j] != alg.structure[j][i]:
+            witness = f"{name_of(i)} * {name_of(j)}"
             break
     run("commutative", witness)
 
     witness = None
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                lhs = [
-                    sum(alg.structure[i][j][t] * alg.structure[t][l][m] for t in range(k))
-                    for m in range(k)
-                ]
-                rhs = [
-                    sum(alg.structure[j][l][t] * alg.structure[i][t][m] for t in range(k))
-                    for m in range(k)
-                ]
-                if lhs != rhs:
-                    witness = f"({name_of(i)} * {name_of(j)}) * {name_of(l)}"
-                    break
-            if witness:
-                break
-        if witness:
+    for i, j, l in itertools.product(range(k), repeat=3):
+        lhs = [sum(alg.structure[i][j][t] * alg.structure[t][l][m] for t in range(k)) for m in range(k)]
+        rhs = [sum(alg.structure[j][l][t] * alg.structure[i][t][m] for t in range(k)) for m in range(k)]
+        if lhs != rhs:
+            witness = f"({name_of(i)} * {name_of(j)}) * {name_of(l)}"
             break
     run("associative", witness)
 
@@ -444,17 +442,11 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
     run("unit", witness)
 
     witness = None
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                lhs = sum(alg.structure[i][j][t] * alg.pairing(t, l) for t in range(k))
-                rhs = sum(alg.structure[j][l][t] * alg.pairing(i, t) for t in range(k))
-                if lhs != rhs:
-                    witness = f"<{name_of(i)} * {name_of(j)}, {name_of(l)}>"
-                    break
-            if witness:
-                break
-        if witness:
+    for i, j, l in itertools.product(range(k), repeat=3):
+        lhs = sum(alg.structure[i][j][t] * alg.pairing(t, l) for t in range(k))
+        rhs = sum(alg.structure[j][l][t] * alg.pairing(i, t) for t in range(k))
+        if lhs != rhs:
+            witness = f"<{name_of(i)} * {name_of(j)}, {name_of(l)}>"
             break
     run("frobenius", witness)
 

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .fp import check_odd_prime
@@ -179,29 +180,19 @@ def is_hyp_type(c: RadiusClass) -> bool:
 
 
 def interleavings(p: int, n: int):
-    """Yield (alpha_lifts, beta_lifts) chains p >= a1 >= b1 > a2 >= ... > b_{n-1} > a_n >= 1."""
+    """Yield (alpha_lifts, beta_lifts) chains p >= a1 >= b1 > a2 >= ... > b_{n-1} > a_n >= 1.
+
+    Adding to each entry the number of weak steps at or after it makes the
+    chain strictly decreasing in [1, p + n - 1], so the chains are the
+    (2n-1)-subsets of that range, taken in descending lexicographic order.
+    """
     check_odd_prime(p)
     if not 1 < n < p:
         raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
-
-    def go(chain: list[int]):
-        i = len(chain)
-        if i == 2 * n - 1:
-            yield tuple(chain[0::2]), tuple(chain[1::2])
-            return
-        if i == 0:
-            hi = p
-        elif i % 2 == 1:
-            hi = chain[-1]  # next is b_k <= a_k
-        else:
-            hi = chain[-1] - 1  # next is a_{k+1} < b_k
-        # a_n >= 1 and the strict steps b_k > a_{k+1} below entry i force it >= n - i // 2
-        for v in range(hi, n - i // 2 - 1, -1):
-            chain.append(v)
-            yield from go(chain)
-            chain.pop()
-
-    yield from go([])
+    weak = [n - 1 - (j + 1) // 2 for j in range(2 * n - 1)]
+    for c in itertools.combinations(range(p + n - 1, 0, -1), 2 * n - 1):
+        chain = tuple(map(sub, c, weak))
+        yield chain[0::2], chain[1::2]
 
 
 @lru_cache(maxsize=None)

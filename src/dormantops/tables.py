@@ -53,18 +53,25 @@ def published_counts(p: int, n: int) -> dict[Triple, int]:
 def load_overrides(entries) -> dict[tuple[int, int, Triple], tuple[int, str]]:
     """Normalize override records, closing each entry under S_3.
 
-    Accepts parsed JSON entries {"p", "n", "triple", "N", "source"}.  A value
-    conflict inside one orbit is an error.
+    Accepts parsed JSON entries {"p", "n", "triple", "N", "source"}.  A
+    malformed record or a value conflict inside one orbit is a ValueError.
     """
+    if not isinstance(entries, list):
+        raise ValueError(f"override data must be a list of records, got {type(entries).__name__}")
     out: dict[tuple[int, int, Triple], tuple[int, str]] = {}
     for e in entries:
-        p, n, val = e["p"], e["n"], e["N"]
-        if not isinstance(val, int) or val < 0:
-            raise ValueError(f"override value must be a nonnegative integer, got {val!r}")
+        try:
+            p, n, val = e["p"], e["n"], e["N"]
+            if type(val) is not int or val < 0:  # bool is an int subclass
+                raise ValueError(f"override value must be a nonnegative integer, got {val!r}")
+            t = tuple(canonical(p, x) for x in e["triple"])
+            if len(t) != 3 or any(c.n != n for c in t):
+                raise ValueError(f"override triple does not fit (p,n)=({p},{n})")
+        except KeyError as ex:
+            raise ValueError(f"override record {e!r} has no key {ex}") from None
+        except (TypeError, ValueError) as ex:
+            raise ValueError(f"bad override record {e!r}: {ex}") from None
         source = e.get("source", "override")
-        t = tuple(canonical(p, x) for x in e["triple"])
-        if len(t) != 3 or any(c.n != n for c in t):
-            raise ValueError(f"override triple {e['triple']} does not fit (p,n)=({p},{n})")
         for perm in itertools.permutations(t):
             key = (p, n, perm)
             if key in out and out[key][0] != val:

@@ -5,6 +5,7 @@ import pytest
 from dormantops import cli
 from dormantops.fusion import BaseTable
 from dormantops.radii import canonical
+from dormantops.verlinde import verlinde_sum
 
 
 def run(capsys, *argv):
@@ -126,10 +127,25 @@ def test_count_overrides_file_extends_table(capsys, tmp_path):
     assert data["count"] == 4
 
 
-def test_count_too_deep_for_the_recursion_exits_one(capsys):
-    code, out, err = run(capsys, "count", "--p", "5", "--n", "2", "--g", "400")
+def test_count_at_genus_400_matches_the_closed_form(capsys):
+    code, data, _ = run_json(capsys, "count", "--p", "5", "--n", "2", "--g", "400")
+    assert code == 0
+    assert data["count"] == verlinde_sum(5, 2, 400)
+
+
+@pytest.mark.parametrize("entries,says", [
+    ([{"p": 7, "n": 3, "triple": [[0, 2, 4]] * 3, "source": "no N"}], "has no key 'N'"),
+    ({"p": 7, "n": 3, "triple": [[0, 2, 4]] * 3, "N": 2}, "must be a list of records"),
+    ([{"p": 7, "n": 3, "triple": [[0, 2, 4]] * 3, "N": True}], "nonnegative integer, got True"),
+], ids=["record-without-N", "object-not-list", "boolean-N"])
+def test_count_malformed_overrides_file_exits_one(capsys, tmp_path, entries, says):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run(
+        capsys, "count", "--p", "7", "--n", "3", "--g", "2", "--overrides", str(path)
+    )
     assert code == 1 and not out
-    assert err.startswith("error:") and "genus 400" in err
+    assert err.startswith("error:") and "override" in err and says in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -213,6 +214,97 @@ def test_memoized_counts_are_stable():
     first = engine.count(2, [])
     assert engine.count(2, []) == first == 56
     assert FusionEngine(7, 3).count(2, []) == first
+
+
+def _tree(table, g, key, memo):
+    """The memoized gluing tree on table.at: the oracle for the chain of FusionEngine.
+
+    key is a sorted tuple of basis indices.  A handle is a sum over a class and
+    its negation dual, a boundary splits off a three-point sphere, and the
+    genus-0 base cases are the sphere, the disk, the cylinder and the table.
+    """
+    got = memo.get((g, key))
+    if got is not None:
+        return got
+    dual = table.dual_perm
+
+    def base(idx):
+        v = table.at(idx)[0]
+        if v is None:
+            raise UnresolvedBaseError(table.p, table.n, tuple(table.basis[i] for i in idx))
+        return v
+
+    if g > 0:
+        v = sum(_tree(table, g - 1, tuple(sorted(key + (c, d))), memo) for c, d in enumerate(dual))
+    elif len(key) == 0:
+        v = 1
+    elif len(key) == 1:
+        v = int(key[0] == table.unit)
+    elif len(key) == 2:
+        v = int(key[1] == dual[key[0]])
+    elif len(key) == 3:
+        v = base(key)
+    else:
+        a, b, rest = key[0], key[1], key[2:]
+        v = sum(w * _tree(table, 0, tuple(sorted((d,) + rest)), memo)
+                for c, d in enumerate(dual) if (w := base((a, b, c))))
+    memo[(g, key)] = v
+    return v
+
+
+def _assert_used_is_read_from_the_table(engine):
+    assert engine.used
+    for triple, cell in engine.used.items():
+        assert engine.table.at(engine.table.indices(triple)) == cell
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, p)] + [(11, 2), (13, 2)])
+def test_chain_equals_the_gluing_tree(p, n):
+    table = BaseTable(p, n)
+    memo = {}
+    for g in range(4):
+        for r in range(5):
+            if 2 * g - 2 + r <= 0 and not (r == 0 and g in (0, 1)):
+                continue
+            for key in itertools.combinations_with_replacement(range(len(table.basis)), r):
+                engine = FusionEngine(p, n, table)
+                got = engine.count(g, [table.basis[i] for i in key])
+                assert got == _tree(table, g, key, memo), (g, key)
+                assert engine.memo == {(g, key): got}
+                if g or r >= 3:
+                    _assert_used_is_read_from_the_table(engine)
+
+
+@pytest.mark.parametrize("p,n", [(11, 3), (13, 3)])
+def test_chain_finishes_wherever_the_tree_does_on_partial_tables(p, n):
+    table = BaseTable(p, n)
+    k = len(table.basis)
+    # rows of hypergeometric-type classes are fully resolved, so weighting
+    # them gives a sweep in which many queries finish
+    hyp = [i for i, c in enumerate(table.basis) if is_hyp_type(c)]
+    rng = random.Random(f"{p},{n}")
+    memo = {}
+    agreed = 0
+    for _ in range(300):
+        g, r = rng.randrange(3), rng.randrange(5)
+        if 2 * g - 2 + r <= 0:
+            continue
+        key = tuple(sorted(rng.choice(hyp) if rng.random() < 0.6 else rng.randrange(k) for _ in range(r)))
+        try:
+            want = _tree(table, g, key, memo)
+        except UnresolvedBaseError:
+            want = None
+        engine = FusionEngine(p, n, table)
+        try:
+            got = engine.count(g, [table.basis[i] for i in key])
+        except UnresolvedBaseError:
+            assert want is None, (g, key)
+            continue
+        _assert_used_is_read_from_the_table(engine)
+        if want is not None:
+            assert got == want, (g, key)
+            agreed += 1
+    assert agreed >= 40
 
 
 def test_duality_swaps_rank_and_corank():

@@ -159,15 +159,21 @@ def test_interleaving_chains_satisfy_the_inequalities():
         assert 7 >= a1 >= b1 > a2 >= b2 > a3 >= 1
 
 
-@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, min(p, 5))])
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11) for n in range(2, p)])
 def test_interleavings_match_a_brute_force_filter(p, n):
-    """Same chains in the same order as filtering every descending tuple."""
+    """Same chains in the same order as every free choice of betas between the alphas.
+
+    alpha runs over the strictly descending n-tuples and each b_k over
+    a_k >= b_k > a_{k+1}; the chains a1, b1, a2, ... then come in descending
+    lexicographic order.
+    """
     want = []
-    for chain in itertools.product(range(p, 0, -1), repeat=2 * n - 1):
-        steps = zip(chain, chain[1:])
-        if all(a >= b if i % 2 == 0 else a > b for i, (a, b) in enumerate(steps)):
-            want.append((chain[0::2], chain[1::2]))
-    assert list(interleavings(p, n)) == want
+    for alpha in itertools.combinations(range(p, 0, -1), n):
+        gaps = [range(a, b, -1) for a, b in zip(alpha, alpha[1:])]
+        for beta in itertools.product(*gaps):
+            want.append(tuple(x for ab in zip(alpha, beta) for x in ab) + alpha[-1:])
+    want.sort(reverse=True)
+    assert list(interleavings(p, n)) == [(c[0::2], c[1::2]) for c in want]
 
 
 @pytest.mark.parametrize(
