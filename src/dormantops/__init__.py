@@ -29,14 +29,13 @@ from .radii import (
     xi,
     xi_size,
 )
-from .tables import default_overrides, load_overrides, published_counts, published_pairs, published_xi
+from .tables import published_counts, published_pairs, published_xi
 from .fusion import (
     AxiomReport,
     BaseTable,
     Cobordism,
     FusionAlgebra,
     FusionEngine,
-    UnresolvedBaseError,
     algebra,
     base_n,
     check_axioms,

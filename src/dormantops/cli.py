@@ -5,8 +5,8 @@ output is the default.  Radii triples are written as slash-separated classes
 of comma-separated residues, e.g. ``0,2,4/0,2,4/0,2,4``, and any translate of
 a class is accepted.
 
-Exit codes: 0 success, 1 invalid input, 2 unresolved base-table entry,
-3 table or axiom mismatch.
+Exit codes: 0 success, 1 invalid input or input too large, 3 table or axiom
+mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fp import FpElem, Generic
-from .fusion import BaseTable, FusionEngine, UnresolvedBaseError, check_axioms
+from .fusion import BaseTable, FusionEngine, check_axioms
 from .hyperg import (
     apply,
     has_full_solutions,
@@ -29,7 +29,7 @@ from .hyperg import (
     t_set,
 )
 from .radii import RadiusClass, canonical, exponents, hyp_set, is_hyp_type, radii_triple, xi, xi_size
-from .tables import default_overrides, load_overrides, published_counts, published_xi
+from .tables import published_counts, published_xi
 from .verlinde import poly_n3_g2, verlinde_count, verlinde_sum
 
 __all__ = ["main", "run_verify"]
@@ -40,8 +40,8 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage, which would collide with the
-    # unresolved-base-entry code; route usage problems through exit 1 instead
+    # argparse exits with status 2 on bad usage; route usage problems through
+    # exit 1 with every other invalid input instead
     def error(self, message):
         raise UsageError(message)
 
@@ -96,16 +96,6 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _load_overrides(path: Optional[str]):
-    if path is None:
-        return None
-    with open(path) as fh:
-        entries = json.load(fh)
-    merged = dict(default_overrides())
-    merged.update(load_overrides(entries))
-    return merged
 
 
 def cmd_kernel(args) -> int:
@@ -204,8 +194,7 @@ def cmd_exponents(args) -> int:
 def cmd_count(args) -> int:
     _check_pn(args.p, args.n)
     radii = _parse_radii(args.radii, args.p) if args.radii else []
-    table = BaseTable(args.p, args.n, overrides=_load_overrides(args.overrides))
-    engine = FusionEngine(args.p, args.n, table)
+    engine = FusionEngine(args.p, args.n)
     value = engine.count(args.g, radii)
     trace = [
         {"triple": _triple_json(t), "N": v, "rule": src}
@@ -236,8 +225,7 @@ def cmd_verlinde(args) -> int:
 
 def cmd_axioms(args) -> int:
     _check_pn(args.p, args.n)
-    table = BaseTable(args.p, args.n, overrides=_load_overrides(args.overrides))
-    report = check_axioms(args.p, args.n, table)
+    report = check_axioms(args.p, args.n, BaseTable(args.p, args.n))
     lines = []
     for r in report.results:
         mark = "pass" if r.passed else f"FAIL ({r.witness})"
@@ -247,7 +235,7 @@ def cmd_axioms(args) -> int:
     return 0 if report.passed else 3
 
 
-def run_verify(p: int, overrides=None) -> dict:
+def run_verify(p: int) -> dict:
     """Regenerate every listing and table for 1 < n < p against embedded data.
 
     Returns a deterministic report dict; report["passed"] is the overall flag.
@@ -272,7 +260,7 @@ def run_verify(p: int, overrides=None) -> dict:
                 "published": [list(c.elems) for c in want_xi],
             },
         )
-        table = BaseTable(p, n, overrides=overrides)
+        table = BaseTable(p, n)
         computed = table.nonzero()
         published = published_counts(p, n)
         diff = []
@@ -317,7 +305,7 @@ def run_verify(p: int, overrides=None) -> dict:
 def cmd_verify(args) -> int:
     if args.p not in (3, 5, 7):
         raise UsageError(f"verify covers p in {{3, 5, 7}}, got {args.p}")
-    report = run_verify(args.p, overrides=_load_overrides(args.overrides))
+    report = run_verify(args.p)
     lines = []
     for row in report["checks"]:
         mark = "ok" if row["ok"] else "MISMATCH"
@@ -359,7 +347,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--g", type=int, required=True, help="genus")
     sp.add_argument("--radii", help="slash-separated classes, e.g. 0,2,4/0,2,4/0,2,4")
-    sp.add_argument("--overrides", help="JSON file of extra base-table entries")
 
     sp = add("verlinde", cmd_verlinde, "closed-form count on a closed surface")
     sp.add_argument("--n", type=int, required=True)
@@ -367,10 +354,8 @@ def _build_parser() -> _Parser:
 
     sp = add("axioms", cmd_axioms, "check the fusion-algebra axioms")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--overrides", help="JSON file of extra base-table entries")
 
-    sp = add("verify", cmd_verify, "reproduce every embedded table for this prime")
-    sp.add_argument("--overrides", help="JSON file of extra base-table entries")
+    add("verify", cmd_verify, "reproduce every embedded table for this prime")
 
     return parser
 
@@ -384,9 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except UnresolvedBaseError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -1,24 +1,30 @@
 """Three-point counts of dormant-oper radii and the surface counts built on them.
 
 The base table N(rho1, rho2, rho3) counts dormant opers on a three-marked
-projective line with the given radii.  Entries are resolved in a fixed rule
-order:
+projective line with the given radii.  The counts are the structure constants
+of the small quantum cohomology ring of the Grassmannian Gr(n, p) at q = 1,
+modulo its cyclic symmetry, in the basis Xi_{p,n}.  A class with canonical
+elements s_1 < ... < s_n is the partition lambda_i = s_{n+1-i} - (n-i) in the
+n x (p-n) box, and the hypergeometric classes h_r = [0, ..., n-2, n-1+r],
+r = 0, ..., p-n, are the one-row partitions (r).  Every entry comes from one
+rule, with the paper's rigidity result as its input:
 
-  1. hypergeometric component: when some component admits a translate of the
-     form {0, 1, ..., n-2, d}, the count is 1 if the triple arises from a
-     full-solution parameter chain (hyp_set) and 0 otherwise (this covers
-     n = p-1, whose only class {0, ..., p-2} is of this form);
-  2. duality: resolve the componentwise negated-complement triple at
-     (p, p-n) with rule 1 and the override data;
-  3. override data (shipped defaults cover the two known genus-2
-     factorization values at p = 7);
-  4. otherwise the entry is unknown, and using it raises loudly.
+  * Pieri rows: H_r[c][b] = 1 when (h_r, b, neg_dual c) arises from a
+    full-solution parameter chain (hyp_set), and 0 otherwise;
+  * Jacobi-Trudi: N(a, b, c) = M_lambda[neg_dual c][b] with lambda the
+    partition of a and M_lambda = det(H_{lambda_i - i + j}), where H_r = 0
+    outside 0 <= r <= p-n.  The H_r commute, so the determinant is expanded
+    along its first row with a memo of minors.  A first-row minor is not the
+    Jacobi-Trudi matrix of a smaller partition, so minors are keyed by
+    (row, remaining columns, lambda tail).
 
-The table stores one (value, source) per ordered triple of indices into
-Xi_{p,n}.  Rules 1 and 2 are invariant under permuting the triple (hyp_set
-is closed under S_3), so the table resolves them once per S_3 orbit, with the
-per-class data (complement dual, hypergeometric type on either side) computed
-once per class.
+The source tag of a cell names its witness.  "hyp": some class is
+hypergeometric, and the entry must be 1 exactly when the triple is in
+hyp_set(p, n).  "dual:hyp": otherwise some complement dual is, and the
+entry must be 1 exactly when the complement-dual triple is in
+hyp_set(p, p-n).  "jacobi-trudi": neither applies.  A negative entry or a
+disagreeing witness raises AssertionError naming the triple and both values;
+neither side is preferred.  Tables stop at MAX_TABLE_CLASSES classes.
 
 On top of the table, a genus-g surface with radii rho_1 <= ... <= rho_r (in
 basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle
@@ -43,14 +49,12 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .fp import check_odd_prime
-from .radii import RadiusClass, canonical, comp_dual, hyp_set, is_hyp_type, neg_dual, xi
-from .tables import default_overrides
+from .radii import RadiusClass, canonical, comp_dual, hyp_set, is_hyp_type, neg_dual, xi, xi_size
 
 __all__ = [
-    "UnresolvedBaseError",
     "Cobordism",
     "BaseTable",
     "FusionAlgebra",
@@ -67,15 +71,6 @@ __all__ = [
 Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
 
 
-class UnresolvedBaseError(Exception):
-    """An unknown base-table entry was needed."""
-
-    def __init__(self, p: int, n: int, triple: Triple):
-        self.p, self.n, self.triple = p, n, triple
-        elems = ", ".join(str(list(c.elems)) for c in triple)
-        super().__init__(f"no base value known for p={p}, n={n}, triple ({elems})")
-
-
 @dataclass(frozen=True)
 class Cobordism:
     """A connected surface of the given genus with r input and s output circles."""
@@ -89,6 +84,80 @@ class Cobordism:
             raise ValueError("genus and boundary counts must be nonnegative")
 
 
+# Largest |Xi_{p,n}| a base table is built for: every (p, n) with p <= 13 fits
+# (k <= 132), while (17, 5), with k = 364, would need 48 million cells.
+MAX_TABLE_CLASSES = 150
+# Largest |Xi_{p,n}| check_axioms runs on: associativity is O(k^5), and k = 30,
+# at (11, 4) or (61, 2), takes about 8 s on a 2-vCPU machine.
+MAX_AXIOM_CLASSES = 30
+
+# source tags by cell kind; see the module docstring
+_TAGS = ("hyp", "dual:hyp", "jacobi-trudi")
+
+
+def _size(p: int, n: int, limit: int, what: str) -> int:
+    """|Xi_{p,n}| for valid p and n, ValueError when it exceeds limit."""
+    check_odd_prime(p)
+    if not 1 < n < p:
+        raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    k = xi_size(p, n)
+    if k > limit:
+        raise ValueError(f"Xi_{{{p},{n}}} has {k} classes, over the limit of {limit} for {what}")
+    return k
+
+
+def _pieri_rows(basis, index, dual, hyp) -> list[dict[int, list[int]]]:
+    """H_r for r = 0, ..., p-n as rows {c: [b, ...]}: H_r[c][b] = 1 when the index
+    triple (h_r, b, neg_dual c) is in hyp, h_r the class of [0, ..., n-2, n-1+r]."""
+    p, n = basis[0].p, basis[0].n
+    h = [index[canonical(p, (*range(n - 1), n - 1 + r))] for r in range(p - n + 1)]
+    rows: dict[int, dict[int, list[int]]] = {i: {} for i in h}
+    for i, b, l in hyp:
+        if i in rows:
+            rows[i].setdefault(dual[l], []).append(b)
+    return [rows[i] for i in h]
+
+
+def _closure(basis, pieri) -> Iterator[dict[int, dict[int, int]]]:
+    """Yield M_lambda for each class in basis order, as sparse rows {c: {b: value}}.
+
+    lambda from row r on depends only on the first n - r elements of a class; the
+    basis is lexicographic, so each row keeps the minors of its latest tail only.
+    """
+    n = basis[0].n
+    ident = {x: {x: 1} for x in range(len(basis))}
+    memo: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, dict[int, int]]]]] = {}
+
+    def minor(row: int, cols: tuple[int, ...], tail: tuple[int, ...]) -> dict[int, dict[int, int]]:
+        if not tail:
+            return ident
+        if row not in memo or memo[row][0] != tail:
+            memo[row] = (tail, {})
+        got = memo[row][1].get(cols)
+        if got is not None:
+            return got
+        out: dict[int, dict[int, int]] = {}
+        for t, j in enumerate(cols):
+            r = tail[0] - row + j
+            if not 0 <= r < len(pieri):
+                continue
+            sub = minor(row + 1, cols[:t] + cols[t + 1:], tail[1:])
+            sign = -1 if t % 2 else 1
+            for c, xs in pieri[r].items():
+                acc = out.setdefault(c, {})
+                for x in xs:
+                    for b, v in sub.get(x, {}).items():
+                        acc[b] = acc.get(b, 0) + sign * v
+        out = memo[row][1][cols] = {c: nz for c, acc in out.items() if (nz := {b: v for b, v in acc.items() if v})}
+        return out
+
+    for c in basis:
+        s = c.elems
+        lam = tuple(part for i in range(n) if (part := s[n - 1 - i] - (n - 1 - i)))
+        yield minor(0, tuple(range(len(lam))), lam)
+    memo.clear()  # minor refers to itself, so without this the memo waits for the cycle collector
+
+
 class BaseTable:
     """Resolved three-point counts over all ordered triples from Xi_{p,n}.
 
@@ -99,50 +168,43 @@ class BaseTable:
     index of the unit class [0, ..., n-1].
     """
 
-    def __init__(self, p: int, n: int, overrides=None):
-        check_odd_prime(p)
-        if not 1 < n < p:
-            raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    def __init__(self, p: int, n: int):
+        k = _size(p, n, MAX_TABLE_CLASSES, "a base table")
         self.p = p
         self.n = n
         self.basis = basis = xi(p, n)
-        self.index = {c: i for i, c in enumerate(basis)}
-        self.dual_perm = tuple(self.index[neg_dual(c)] for c in basis)
-        self.unit = self.index[canonical(p, range(n))]
-        overrides = default_overrides() if overrides is None else overrides
-        k = len(basis)
-        duals = [comp_dual(c) for c in basis]
-        hyp = [is_hyp_type(c) for c in basis]
-        dual_hyp = [is_hyp_type(c) for c in duals]
-        by_orbit = {}
-        for idx in itertools.combinations_with_replacement(range(k), 3):
-            if any(hyp[i] for i in idx):
-                by_orbit[idx] = (int(tuple(basis[i] for i in idx) in hyp_set(p, n)), "hyp")
-            elif any(dual_hyp[i] for i in idx):
-                by_orbit[idx] = (int(tuple(duals[i] for i in idx) in hyp_set(p, p - n)), "dual:hyp")
-        self._cells: list[tuple[Optional[int], str]] = [None] * k**3  # type: ignore[list-item]
-        for idx in itertools.product(range(k), repeat=3):
-            got = by_orbit.get(tuple(sorted(idx)))
-            if got is None:
-                # override data need not be closed under S_3, so look up each order
-                triple = tuple(basis[i] for i in idx)
-                got = self._override(overrides, triple, tuple(duals[i] for i in idx))
-            self._cells[self._slot(idx)] = got
-
-    def _override(self, overrides, triple: Triple, dual: Triple) -> tuple[Optional[int], str]:
-        for key, tag in (((self.p, self.p - self.n, dual), "dual:override:"),
-                         ((self.p, self.n, triple), "override:")):
-            if key in overrides:
-                val, src = overrides[key]
-                return val, tag + src
-        return None, "unknown"
+        self.index = index = {c: i for i, c in enumerate(basis)}
+        self.dual_perm = dual = tuple(index[neg_dual(c)] for c in basis)
+        self.unit = index[canonical(p, range(n))]
+        hyp = [tuple(index[c] for c in t) for t in hyp_set(p, n)]
+        # 0: a hypergeometric class, 1: one on the complement-dual side, 2: neither
+        kinds = [0 if is_hyp_type(c) else 1 if is_hyp_type(comp_dual(c)) else 2 for c in basis]
+        witness = [set(map(self._slot, hyp)), set()]
+        if 1 in kinds:
+            dual_index = {comp_dual(c): i for i, c in enumerate(basis)}
+            witness[1] = {self._slot([dual_index[c] for c in t]) for t in hyp_set(p, p - n)}
+        # capped[f][b] = min(f, kinds[b]), the kind of a cell whose other two classes give f
+        capped = [[min(f, x) for x in kinds] for f in range(3)]
+        shared: dict[tuple[int, str], tuple[int, str]] = {}
+        self._cells: list[tuple[int, str]] = [None] * k**3  # type: ignore[list-item]
+        for a, rows in enumerate(_closure(basis, _pieri_rows(basis, index, dual, hyp))):
+            for c, d in enumerate(dual):
+                row, cap = rows.get(d, {}), capped[min(kinds[a], kinds[c])]
+                for b in range(k):
+                    v, i, kind = row.get(b, 0), (a * k + b) * k + c, cap[b]
+                    if v < 0 or kind < 2 and v != (i in witness[kind]):
+                        triple = ", ".join(str(list(basis[x].elems)) for x in (a, b, c))
+                        other = "a negative count" if kind == 2 else f"{_TAGS[kind]} gives {int(i in witness[kind])}"
+                        raise AssertionError(f"p={p}, n={n}, triple ({triple}): Jacobi-Trudi gives {v}, {other}")
+                    cell = (v, _TAGS[kind])
+                    self._cells[i] = shared.setdefault(cell, cell)
 
     def _slot(self, idx: Sequence[int]) -> int:
         k = len(self.basis)
         i, j, l = idx
         return (i * k + j) * k + l
 
-    def at(self, idx: Sequence[int]) -> tuple[Optional[int], str]:
+    def at(self, idx: Sequence[int]) -> tuple[int, str]:
         """(value, source) of an ordered triple of basis indices."""
         return self._cells[self._slot(idx)]
 
@@ -163,13 +225,13 @@ class BaseTable:
             raise ValueError(f"need a triple, got {len(idx)} classes")
         return idx
 
-    def value(self, triple: Sequence[RadiusClass]) -> Optional[int]:
+    def value(self, triple: Sequence[RadiusClass]) -> int:
         return self.at(self._triple(triple))[0]
 
     def source(self, triple: Sequence[RadiusClass]) -> str:
         return self.at(self._triple(triple))[1]
 
-    def entries(self) -> dict[Triple, tuple[Optional[int], str]]:
+    def entries(self) -> dict[Triple, tuple[int, str]]:
         cube = itertools.product(range(len(self.basis)), repeat=3)
         return {tuple(self.basis[i] for i in idx): self.at(idx) for idx in cube}  # type: ignore[misc]
 
@@ -194,9 +256,9 @@ def _table_for(p: int, n: int, table: Optional[BaseTable]) -> BaseTable:
     return table
 
 
-def base_n(p: int, n: int, triple: Sequence[RadiusClass], overrides=None) -> Optional[int]:
-    """Resolved base value for one triple, None when unknown."""
-    return BaseTable(p, n, overrides=overrides).value(triple)
+def base_n(p: int, n: int, triple: Sequence[RadiusClass]) -> int:
+    """Base value of one triple."""
+    return BaseTable(p, n).value(triple)
 
 
 class FusionAlgebra:
@@ -211,14 +273,7 @@ class FusionAlgebra:
         self.unit = table.unit
         self.dual_perm = table.dual_perm
         k = len(self.basis)
-        self.structure = [[[0] * k for _ in range(k)] for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                for t, d in enumerate(self.dual_perm):
-                    v = table.at((i, j, d))[0]
-                    if v is None:
-                        raise UnresolvedBaseError(self.p, self.n, tuple(self.basis[x] for x in (i, j, d)))
-                    self.structure[i][j][t] = v
+        self.structure = [[[table.at((i, j, d))[0] for d in self.dual_perm] for j in range(k)] for i in range(k)]
 
     def multiply(self, va: Sequence, vb: Sequence) -> list:
         """Product of two coefficient vectors on the class basis."""
@@ -269,10 +324,7 @@ class FusionEngine:
         return {tuple(self.basis[i] for i in idx): cell for idx, cell in self._read.items()}  # type: ignore[misc]
 
     def _entry(self, idx: tuple[int, int, int]) -> int:
-        cell = self.table.at(idx)
-        if cell[0] is None:
-            raise UnresolvedBaseError(self.p, self.n, tuple(self.basis[i] for i in idx))
-        self._read[idx] = cell  # type: ignore[assignment]
+        cell = self._read[idx] = self.table.at(idx)
         return cell[0]
 
     def _times(self, v: dict[int, int], a: int) -> dict[int, int]:
@@ -358,12 +410,12 @@ class FusionEngine:
         return out
 
 
-def count(p: int, n: int, g: int, radii: Sequence[RadiusClass] = (), overrides=None) -> int:
-    return FusionEngine(p, n, BaseTable(p, n, overrides=overrides)).count(g, radii)
+def count(p: int, n: int, g: int, radii: Sequence[RadiusClass] = ()) -> int:
+    return FusionEngine(p, n).count(g, radii)
 
 
-def evaluate(p: int, n: int, cob: Cobordism, tensor: Mapping, overrides=None) -> dict:
-    return FusionEngine(p, n, BaseTable(p, n, overrides=overrides)).evaluate(cob, tensor)
+def evaluate(p: int, n: int, cob: Cobordism, tensor: Mapping) -> dict:
+    return FusionEngine(p, n).evaluate(cob, tensor)
 
 
 @dataclass
@@ -396,7 +448,11 @@ class AxiomReport:
 
 
 def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomReport:
-    """Machine check of the Frobenius-algebra axioms; failures become report rows."""
+    """Machine check of the Frobenius-algebra axioms; failures become report rows.
+
+    ValueError when |Xi_{p,n}| exceeds MAX_AXIOM_CLASSES.
+    """
+    _size(p, n, MAX_AXIOM_CLASSES, "check_axioms")
     table = _table_for(p, n, table)
     report = AxiomReport(p=p, n=n)
     alg = FusionAlgebra(table)

@@ -8,7 +8,6 @@ from dormantops.fusion import (
     BaseTable,
     Cobordism,
     FusionEngine,
-    UnresolvedBaseError,
     algebra,
     base_n,
     check_axioms,
@@ -16,13 +15,9 @@ from dormantops.fusion import (
     evaluate,
 )
 from dormantops.radii import canonical, comp_dual, hyp_set, is_hyp_type, neg_dual, xi, xi_size
-from dormantops.tables import (
-    default_overrides,
-    load_overrides,
-    published_counts,
-    published_pairs,
-    published_xi,
-)
+from dormantops import fusion
+from dormantops.tables import published_counts, published_pairs, published_xi
+from dormantops.verlinde import verlinde_sum
 
 PAIRS = [(3, 2), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6)]
 W5 = canonical(7, (0, 2, 4))
@@ -54,14 +49,14 @@ def test_base_table_reproduces_published_counts(p, n):
 def test_genus_zero_overrides_and_their_sources():
     t73 = BaseTable(7, 3)
     assert t73.value((W5, W5, W5)) == 2
-    assert t73.source((W5, W5, W5)).startswith("dual:override:")
+    assert t73.source((W5, W5, W5)) == "jacobi-trudi"
     w1 = canonical(7, (0, 1, 2))
     assert t73.value((w1, w1, w1)) == 1
     assert t73.source((w1, w1, w1)) == "hyp"
 
     t74 = BaseTable(7, 4)
     assert t74.value((V5, V5, V5)) == 2
-    assert t74.source((V5, V5, V5)).startswith("dual:override:")
+    assert t74.source((V5, V5, V5)) == "jacobi-trudi"
 
     t75 = BaseTable(7, 5)
     assert t75.value((U3, U3, U3)) == 1
@@ -73,8 +68,9 @@ def test_genus_zero_overrides_and_their_sources():
     assert t76.source((full, full, full)) == "hyp"
 
 
-def _resolve_one(p, n, triple, overrides):
-    """Rules 1-4 of the module docstring applied to one ordered triple."""
+def _resolve_one(p, n, triple):
+    """The hyp and dual:hyp witnesses of the module docstring on one ordered
+    triple; None when neither applies."""
 
     def primary(m, t):
         if m == p - 1:
@@ -88,48 +84,70 @@ def _resolve_one(p, n, triple, overrides):
         return got
     dual = tuple(comp_dual(c) for c in triple)
     got = primary(p - n, dual)
-    if got is not None:
-        return got[0], "dual:" + got[1]
-    for key, tag in (((p, p - n, dual), "dual:override:"), ((p, n, triple), "override:")):
-        if key in overrides:
-            return overrides[key][0], tag + overrides[key][1]
-    return None, "unknown"
+    return None if got is None else (got[0], "dual:" + got[1])
 
 
-# an override on one order only: the table must not spread it over the orbit
-ONE_ORDER = {(11, 3, tuple(canonical(11, e) for e in [(0, 2, 5), (0, 2, 5), (0, 3, 6)])): (3, "x")}
+@pytest.mark.parametrize("p,n", [(7, 3), (7, 4), (11, 3), (11, 8)])
+def test_orbit_resolution_matches_per_triple_resolution(p, n):
+    entries = BaseTable(p, n).entries()
+    assert list(entries) == list(itertools.product(xi(p, n), repeat=3))
+    for t, cell in entries.items():
+        want = _resolve_one(p, n, t)
+        if want is None:
+            assert cell[1] == "jacobi-trudi", t
+        else:
+            assert cell == want, t
 
 
-@pytest.mark.parametrize("p,n,overrides", [
-    (7, 3, None), (7, 4, None), (11, 3, None), (11, 8, None), (11, 3, ONE_ORDER),
-])
-def test_orbit_resolution_matches_per_triple_resolution(p, n, overrides):
-    table = BaseTable(p, n, overrides=overrides)
-    data = default_overrides() if overrides is None else overrides
-    want = [(t, _resolve_one(p, n, t, data)) for t in itertools.product(xi(p, n), repeat=3)]
-    assert list(table.entries().items()) == want
-
-
-def test_overrides_cannot_shadow_resolved_entries():
-    a = canonical(5, (0, 1))
-    table = BaseTable(5, 2, overrides={(5, 2, (a, a, a)): (2, "corrupt")})
-    assert table.value((a, a, a)) == 1
-    assert table.source((a, a, a)) == "hyp"
-
-
-def test_unknown_entries_fail_loudly():
+def test_former_unknown_entry_resolves_to_two():
     c = canonical(11, (0, 2, 5))
-    assert base_n(11, 3, (c, c, c)) is None
+    assert base_n(11, 3, (c, c, c)) == 2
     engine = FusionEngine(11, 3)
-    with pytest.raises(UnresolvedBaseError) as err:
-        engine.count(0, [c, c, c])
-    assert err.value.p == 11 and err.value.n == 3
-    assert "p=11" in str(err.value) and "[0, 2, 5]" in str(err.value)
+    assert engine.count(0, [c, c, c]) == 2
+    assert engine.used == {(c, c, c): (2, "jacobi-trudi")}
 
 
-def test_override_argument_extends_the_table():
-    c = canonical(11, (0, 2, 5))
-    assert base_n(11, 3, (c, c, c), overrides={(11, 3, (c, c, c)): (4, "ext")}) == 4
+@pytest.mark.parametrize("p,n", [(11, 3), (11, 4), (13, 3), (13, 4)])
+def test_completed_tables_glue_to_the_closed_form(p, n):
+    engine = FusionEngine(p, n)
+    for g in (2, 3):
+        assert engine.count(g, []) == verlinde_sum(p, n, g)
+
+
+@pytest.mark.parametrize("p,n", [(11, 3), (13, 3)])
+def test_completed_tables_are_nonnegative_symmetric_and_rank_dual(p, n):
+    table, dual = BaseTable(p, n), BaseTable(p, p - n)
+    for t, (v, _) in table.entries().items():
+        assert type(v) is int and v >= 0, t
+        assert table.value((t[1], t[0], t[2])) == table.value((t[0], t[2], t[1])) == v, t
+        assert dual.value(tuple(comp_dual(c) for c in t)) == v, t
+    for v, _ in dual.entries().values():
+        assert type(v) is int and v >= 0
+
+
+@pytest.mark.parametrize("p,n", [(11, 3), (13, 3)])
+def test_completed_tables_pass_the_axioms(p, n):
+    assert check_axioms(p, n).passed
+
+
+def test_dual_witness_refuses_a_disagreement(monkeypatch):
+    real = fusion.hyp_set
+    u = comp_dual(U3)
+    assert (u, u, u) in real(7, 2)
+    # one triple away from the rank-2 side, which witnesses the dual:hyp cells of (7, 5)
+    monkeypatch.setattr(fusion, "hyp_set", lambda p, n: real(p, n) - {(u, u, u)} if n == 2 else real(p, n))
+    with pytest.raises(AssertionError) as err:
+        BaseTable(7, 5)
+    assert "[0, 1, 2, 4, 5]" in str(err.value)
+    assert "Jacobi-Trudi gives 1, dual:hyp gives 0" in str(err.value)
+
+
+def test_size_limits_refuse_before_any_work():
+    assert xi_size(13, 6) <= fusion.MAX_TABLE_CLASSES < xi_size(17, 5)
+    with pytest.raises(ValueError, match="1430 classes"):
+        BaseTable(17, 8)
+    with pytest.raises(ValueError, match="55 classes"):
+        check_axioms(13, 4)
 
 
 def test_base_values_are_s3_symmetric():
@@ -229,10 +247,7 @@ def _tree(table, g, key, memo):
     dual = table.dual_perm
 
     def base(idx):
-        v = table.at(idx)[0]
-        if v is None:
-            raise UnresolvedBaseError(table.p, table.n, tuple(table.basis[i] for i in idx))
-        return v
+        return table.at(idx)[0]
 
     if g > 0:
         v = sum(_tree(table, g - 1, tuple(sorted(key + (c, d))), memo) for c, d in enumerate(dual))
@@ -276,35 +291,19 @@ def test_chain_equals_the_gluing_tree(p, n):
 
 
 @pytest.mark.parametrize("p,n", [(11, 3), (13, 3)])
-def test_chain_finishes_wherever_the_tree_does_on_partial_tables(p, n):
+def test_chain_equals_the_gluing_tree_on_complete_tables(p, n):
     table = BaseTable(p, n)
     k = len(table.basis)
-    # rows of hypergeometric-type classes are fully resolved, so weighting
-    # them gives a sweep in which many queries finish
-    hyp = [i for i, c in enumerate(table.basis) if is_hyp_type(c)]
     rng = random.Random(f"{p},{n}")
     memo = {}
-    agreed = 0
-    for _ in range(300):
+    for _ in range(150):
         g, r = rng.randrange(3), rng.randrange(5)
         if 2 * g - 2 + r <= 0:
             continue
-        key = tuple(sorted(rng.choice(hyp) if rng.random() < 0.6 else rng.randrange(k) for _ in range(r)))
-        try:
-            want = _tree(table, g, key, memo)
-        except UnresolvedBaseError:
-            want = None
+        key = tuple(sorted(rng.randrange(k) for _ in range(r)))
         engine = FusionEngine(p, n, table)
-        try:
-            got = engine.count(g, [table.basis[i] for i in key])
-        except UnresolvedBaseError:
-            assert want is None, (g, key)
-            continue
+        assert engine.count(g, [table.basis[i] for i in key]) == _tree(table, g, key, memo), (g, key)
         _assert_used_is_read_from_the_table(engine)
-        if want is not None:
-            assert got == want, (g, key)
-            agreed += 1
-    assert agreed >= 40
 
 
 def test_duality_swaps_rank_and_corank():
@@ -382,21 +381,6 @@ def test_corrupted_table_fails_associativity():
     assert "associative" in failed
 
 
-def test_load_overrides_validation():
-    entry = {"p": 7, "n": 3, "triple": [[0, 2, 4]] * 3, "N": 2, "source": "x"}
-    loaded = load_overrides([entry])
-    key = (7, 3, (W5, W5, W5))
-    assert loaded[key] == (2, "x")
-    with pytest.raises(ValueError):
-        load_overrides([dict(entry, N=-1)])
-    with pytest.raises(ValueError):
-        load_overrides([entry, dict(entry, N=3)])
-
-
-def test_default_overrides_hold_both_known_base_values():
-    table = default_overrides()
-    assert table[(7, 3, (W5, W5, W5))][0] == 2
-    assert table[(7, 4, (V5, V5, V5))][0] == 2
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
