@@ -10,7 +10,8 @@ r = 0, ..., p-n, are the one-row partitions (r).  Every entry comes from one
 rule, with the paper's rigidity result as its input:
 
   * Pieri rows: H_r[c][b] = 1 when (h_r, b, neg_dual c) arises from a
-    full-solution parameter chain (hyp_set), and 0 otherwise;
+    full-solution parameter chain (hyp_set, read as its index orbits), and 0
+    otherwise;
   * Jacobi-Trudi: N(a, b, c) = M_lambda[neg_dual c][b] with lambda the
     partition of a and M_lambda = det(H_{lambda_i - i + j}), where H_r = 0
     outside 0 <= r <= p-n.  The H_r commute, so the determinant is expanded
@@ -22,9 +23,12 @@ The source tag of a cell names its witness.  "hyp": some class is
 hypergeometric, and the entry must be 1 exactly when the triple is in
 hyp_set(p, n).  "dual:hyp": otherwise some complement dual is, and the
 entry must be 1 exactly when the complement-dual triple is in
-hyp_set(p, p-n).  "jacobi-trudi": neither applies.  A negative entry or a
-disagreeing witness raises AssertionError naming the triple and both values;
-neither side is preferred.  Tables stop at MAX_TABLE_CLASSES classes.
+hyp_set(p, p-n).  "jacobi-trudi": neither applies.  The Pieri rows and both
+witnesses read hyp_set as its cached index orbits (radii._hyp_orbits), the
+dual witness through one map from the indices of Xi_{p,p-n} to those of their
+complement duals in Xi_{p,n}.  A negative entry or a disagreeing witness
+raises AssertionError naming the triple and both values; neither side is
+preferred.  Tables stop at MAX_TABLE_CLASSES classes.
 
 On top of the table, a genus-g surface with radii rho_1 <= ... <= rho_r (in
 basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .fp import check_odd_prime
-from .radii import RadiusClass, canonical, comp_dual, hyp_set, is_hyp_type, neg_dual, xi, xi_size
+from .radii import RadiusClass, _hyp_orbits, canonical, comp_dual, is_hyp_type, neg_dual, xi, xi_size
 
 __all__ = [
     "Cobordism",
@@ -106,13 +110,20 @@ def _size(p: int, n: int, limit: int, what: str) -> int:
     return k
 
 
-def _pieri_rows(basis, index, dual, hyp) -> list[dict[int, list[int]]]:
+def _permutations(orbits) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordered triple of each orbit once."""
+    for t in orbits:
+        yield from dict.fromkeys(itertools.permutations(t))
+
+
+def _pieri_rows(basis, index, dual, orbits) -> list[dict[int, list[int]]]:
     """H_r for r = 0, ..., p-n as rows {c: [b, ...]}: H_r[c][b] = 1 when the index
-    triple (h_r, b, neg_dual c) is in hyp, h_r the class of [0, ..., n-2, n-1+r]."""
+    triple (h_r, b, neg_dual c) is a permutation of one of orbits, h_r the class
+    of [0, ..., n-2, n-1+r]."""
     p, n = basis[0].p, basis[0].n
     h = [index[canonical(p, (*range(n - 1), n - 1 + r))] for r in range(p - n + 1)]
     rows: dict[int, dict[int, list[int]]] = {i: {} for i in h}
-    for i, b, l in hyp:
+    for i, b, l in _permutations(orbits):
         if i in rows:
             rows[i].setdefault(dual[l], []).append(b)
     return [rows[i] for i in h]
@@ -176,18 +187,20 @@ class BaseTable:
         self.index = index = {c: i for i, c in enumerate(basis)}
         self.dual_perm = dual = tuple(index[neg_dual(c)] for c in basis)
         self.unit = index[canonical(p, range(n))]
-        hyp = [tuple(index[c] for c in t) for t in hyp_set(p, n)]
+        orbits = _hyp_orbits(p, n)
         # 0: a hypergeometric class, 1: one on the complement-dual side, 2: neither
         kinds = [0 if is_hyp_type(c) else 1 if is_hyp_type(comp_dual(c)) else 2 for c in basis]
-        witness = [set(map(self._slot, hyp)), set()]
+        witness = [set(map(self._slot, _permutations(orbits))), set()]
         if 1 in kinds:
-            dual_index = {comp_dual(c): i for i, c in enumerate(basis)}
-            witness[1] = {self._slot([dual_index[c] for c in t]) for t in hyp_set(p, p - n)}
+            # index in Xi_{p,p-n} -> index of its complement dual in basis
+            comp = [index[comp_dual(c)] for c in xi(p, p - n)]
+            dual_orbits = (tuple(comp[i] for i in t) for t in _hyp_orbits(p, p - n))
+            witness[1] = set(map(self._slot, _permutations(dual_orbits)))
         # capped[f][b] = min(f, kinds[b]), the kind of a cell whose other two classes give f
         capped = [[min(f, x) for x in kinds] for f in range(3)]
         shared: dict[tuple[int, str], tuple[int, str]] = {}
         self._cells: list[tuple[int, str]] = [None] * k**3  # type: ignore[list-item]
-        for a, rows in enumerate(_closure(basis, _pieri_rows(basis, index, dual, hyp))):
+        for a, rows in enumerate(_closure(basis, _pieri_rows(basis, index, dual, orbits))):
             for c, d in enumerate(dual):
                 row, cap = rows.get(d, {}), capped[min(kinds[a], kinds[c])]
                 for b in range(k):

@@ -16,6 +16,12 @@ whose classes form the radii triple of the attached local system.  Tuples
 whose canonical lifts satisfy the interleaving chain a_1 >= b_1 > a_2 >= ...
 > b_{n-1} > a_n are exactly those with a full solution space; hyp_set collects
 every permutation of every radii triple arising that way.
+
+Each component depends on part of the tuple only: e3 on the alpha-subset, e1
+on the beta-subset, and e2 on (sum(beta) - sum(alpha)) mod p.  The chain walk
+therefore resolves each component once per distinct input, at most
+C(p,n) + C(p,n-1) + p times, and keeps the triples as sorted index triples
+into xi(p, n), one per S3 orbit, behind one cache (_hyp_orbits).
 """
 
 from __future__ import annotations
@@ -195,28 +201,58 @@ def interleavings(p: int, n: int):
         yield chain[0::2], chain[1::2]
 
 
+def _xi_index(p: int, index: dict[tuple[int, ...], int], es: Sequence[int]) -> int:
+    """Index in xi(p, n) of the class of es, with index as built by _hyp_orbits.
+
+    AssertionError when es repeats an entry: no key of index does.
+    """
+    i = index.get(tuple(sorted((e - es[0]) % p for e in es)))
+    if i is None:
+        raise AssertionError(f"non-distinct exponent class {canonical(p, es)} from chain")
+    return i
+
+
 @lru_cache(maxsize=None)
+def _hyp_orbits(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The radii triples of the full-solution chains as sorted index triples
+    i <= j <= l into xi(p, n), one per S3 orbit, in increasing order.
+
+    Every sorted translate with 0 of every class of xi(p, n) is mapped to the
+    index of its class, and a component, translated by its first entry and
+    sorted, is one of those keys exactly when its entries are distinct.  e1, e3
+    and e2 are resolved once per beta-subset, per alpha-subset and per
+    (sum(beta) - sum(alpha)) mod p, when the first chain that has it is walked;
+    the chain forces distinct entries, so a miss (a repeated entry) raises
+    AssertionError.
+    """
+    index = {t: i for i, c in enumerate(xi(p, n)) for t in _zero_translates(p, c.elems)}
+    by_alpha: dict[tuple[int, ...], tuple[int, int]] = {}
+    by_beta: dict[tuple[int, ...], tuple[int, int]] = {}
+    by_diff: dict[int, int] = {}
+    orbits = set()
+    for alpha_l, beta_l in interleavings(p, n):
+        b = by_beta.get(beta_l)
+        if b is None:
+            b = by_beta[beta_l] = (_xi_index(p, index, exponents(p, alpha_l, beta_l)[0]), sum(beta_l))
+        a = by_alpha.get(alpha_l)
+        if a is None:
+            a = by_alpha[alpha_l] = (_xi_index(p, index, exponents(p, alpha_l, beta_l)[2]), sum(alpha_l))
+        d = (b[1] - a[1]) % p
+        h = by_diff.get(d)
+        if h is None:
+            h = by_diff[d] = _xi_index(p, index, exponents(p, alpha_l, beta_l)[1])
+        orbits.add(tuple(sorted((b[0], h, a[0]))))
+    return tuple(sorted(orbits))
+
+
 def hyp_set(p: int, n: int) -> frozenset[tuple[RadiusClass, RadiusClass, RadiusClass]]:
     """Every permutation of every radii triple of a full-solution parameter tuple.
 
-    A component is resolved by lookup in Xi_{p,n}: every sorted translate with 0
-    of every class of xi(p, n) is mapped to the index of its class, and a
-    component, translated by its first entry and sorted, is one of those keys
-    exactly when its entries are distinct.  The chain forces distinct entries,
-    so a miss (a repeated entry) raises AssertionError.  The triples are
-    collected as index triples and permuted once each at the end.
+    Built from the cached index orbits of _hyp_orbits, each permuted once; the
+    class triples themselves are not cached.  A chain with a repeated entry in
+    some component raises AssertionError.
     """
     classes = xi(p, n)
-    index = {t: i for i, c in enumerate(classes) for t in _zero_translates(p, c.elems)}
-    triples = set()
-    for alpha_l, beta_l in interleavings(p, n):
-        triple = []
-        for es in exponents(p, alpha_l, beta_l):
-            i = index.get(tuple(sorted((e - es[0]) % p for e in es)))
-            if i is None:
-                raise AssertionError(f"non-distinct exponent class {canonical(p, es)} from chain")
-            triple.append(i)
-        triples.add(tuple(triple))
     return frozenset(
-        tuple(classes[i] for i in perm) for t in triples for perm in itertools.permutations(t)
+        tuple(classes[i] for i in perm) for t in _hyp_orbits(p, n) for perm in itertools.permutations(t)
     )

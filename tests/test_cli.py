@@ -168,6 +168,14 @@ def test_axioms_refuses_a_basis_too_large(capsys):
     assert err.startswith("error:") and "55 classes" in err
 
 
+def test_axioms_refuses_before_building_the_table(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "axioms", "--p", "13", "--n", "6")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error:") and "132 classes" in err
+
+
 @pytest.mark.parametrize("p", ["3", "5", "7"])
 def test_verify_passes_for_published_primes(capsys, p):
     code, data, _ = run_json(capsys, "verify", "--p", p)

@@ -200,7 +200,31 @@ def test_hyp_set_refuses_a_chain_with_a_repeated_entry(monkeypatch):
     # beta = (1, 2) and alpha = (1, 1, 2) repeat entries in e1 and e3
     monkeypatch.setattr(radii, "interleavings", lambda p, n: iter([((1, 1, 2), (1, 2))]))
     with pytest.raises(AssertionError, match="non-distinct exponent class"):
-        hyp_set.__wrapped__(5, 3)
+        radii._hyp_orbits.__wrapped__(5, 3)
+
+
+@pytest.mark.parametrize("p,n", [(11, 4), (13, 6)])
+def test_hyp_set_resolves_each_component_once_per_subset(monkeypatch, p, n):
+    calls = []
+    resolve = radii._xi_index
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(radii, "_xi_index", counting)
+    radii._hyp_orbits.__wrapped__(p, n)
+    assert 0 < len(calls) <= math.comb(p, n) + math.comb(p, n - 1) + p
+
+
+@pytest.mark.parametrize("p,n", [(7, 3), (11, 4), (13, 6)])
+def test_hyp_orbits_are_sorted_s3_orbits_of_hyp_set(p, n):
+    orbits = radii._hyp_orbits(p, n)
+    assert list(orbits) == sorted(set(orbits))
+    assert all(i <= j <= l for i, j, l in orbits)
+    classes = xi(p, n)
+    perms = {tuple(classes[i] for i in perm) for t in orbits for perm in itertools.permutations(t)}
+    assert perms == hyp_set(p, n)
 
 
 def test_hyp_set_is_symmetric():
