@@ -196,22 +196,18 @@ def cmd_count(args) -> int:
     radii = _parse_radii(args.radii, args.p) if args.radii else []
     engine = FusionEngine(args.p, args.n)
     value = engine.count(args.g, radii)
-    trace = [
-        {"triple": _triple_json(t), "N": v, "rule": src}
-        for t, (v, src) in sorted(engine.used.items(), key=lambda kv: _triple_json(kv[0][:3]))
-    ]
+    rows = sorted((_triple_json(t), v, src) for t, (v, src) in engine.used.items())
     payload = {
         "p": args.p,
         "n": args.n,
         "g": args.g,
         "radii": _triple_json(radii) if radii else [],
         "count": value,
-        "trace": trace,
+        "trace": [{"triple": t, "N": v, "rule": src} for t, v, src in rows],
     }
-    lines = [f"count = {value}", f"base entries used: {len(trace)}"]
-    for row in trace:
-        t = " / ".join(",".join(str(e) for e in c) for c in row["triple"])
-        lines.append(f"  {t} -> {row['N']}  [{row['rule']}]")
+    lines = [f"count = {value}", f"base entries used: {len(rows)}"]
+    if not args.json:
+        lines += (f"  {' / '.join(','.join(map(str, c)) for c in t)} -> {v}  [{src}]" for t, v, src in rows)
     _emit(args, payload, lines)
     return 0
 

@@ -38,10 +38,10 @@ e_rho_1 (the unit when r = 0), multiply by M_a, (v e_a)_t =
 sum_s v_s N(s, a, dual t), for each further radius, and apply
 v -> sum_c (v e_c) e_{dual c} for every handle but the last.  The last two
 factors close by contraction: sum_s v_s N(s, a, b) at genus 0 and
-sum_c sum_s v_s N(s, c, dual c) otherwise; one radius left reads v at its
-dual, none reads v at the unit.  Only rows in the support of v are read, so
-the cost is linear in g + r.  Every scalar is an exact integer, and every
-cobordism, unit, counit, pairing and copairing included, goes through the chain.
+sum_c sum_s v_s N(s, c, dual c) otherwise.  Only rows in the support of v are
+read, so the cost is linear in g + r.  evaluate builds u = e_inputs h^g the
+same way and reads its output lambda as w[lambda_s], w = u e_{dual lambda_1}
+... e_{dual lambda_{s-1}}, since eps(w e_{dual c}) = w[c].  Scalars are exact.
 
 The same data is packaged as a commutative Frobenius algebra on the basis
 Xi_{p,n} (unit [[0,...,n-1]], pairing delta(eta, neg_dual(lambda))) whose
@@ -316,9 +316,9 @@ def algebra(p: int, n: int, table: Optional[BaseTable] = None) -> FusionAlgebra:
 class FusionEngine:
     """Counts over surfaces of arbitrary genus and marked points, one chain each.
 
-    memo holds every answered count, keyed by (g, sorted tuple of basis
-    indices); used holds every base entry the chains read, keyed by its
-    ordered triple of classes, with the table's (value, source).
+    memo holds every answer of count, keyed by (g, sorted tuple of basis
+    indices); used holds every base entry that count and evaluate read, keyed
+    by its ordered triple of classes, with the table's (value, source).
     """
 
     def __init__(self, p: int, n: int, table: Optional[BaseTable] = None):
@@ -354,33 +354,30 @@ class FusionEngine:
         """eps(v e_a e_b) = sum_s v_s N(s, a, b)."""
         return sum(x * self._entry((s, a, b)) for s, x in v.items())
 
+    def _product(self, idx: Sequence[int], handles: int) -> dict[int, int]:
+        """e_idx h^handles, from e_idx[0] (the unit when idx is empty) on."""
+        v = {idx[0]: 1} if idx else {self.table.unit: 1}
+        for a in idx[1:]:
+            v = self._times(v, a)
+        for _ in range(handles):
+            h: dict[int, int] = {}
+            for c, d in enumerate(self.dual_perm):
+                for t, y in self._times(self._times(v, c), d).items():
+                    h[t] = h.get(t, 0) + y
+            v = h
+        return v
+
     def _chain(self, g: int, idx: Sequence[int]) -> int:
-        """The chain on basis indices in any order; see the module docstring."""
+        """The chain (module docstring) on basis indices in any order, for the shapes count accepts."""
         key = (g, tuple(sorted(idx)))
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        marks = key[1]
-        v, rest = ({marks[0]: 1}, marks[1:]) if marks else ({self.table.unit: 1}, ())
-        if g == 0:
-            for a in rest[:-2]:
-                v = self._times(v, a)
-            if len(rest) >= 2:
-                value = self._pair(v, rest[-2], rest[-1])
+        if key not in self.memo:
+            marks = key[1]
+            if g:
+                v = self._product(marks, g - 1)
+                self.memo[key] = sum(self._pair(v, c, d) for c, d in enumerate(self.dual_perm))
             else:
-                value = v.get(self.dual_perm[rest[0]] if rest else self.table.unit, 0)
-        else:
-            for a in rest:
-                v = self._times(v, a)
-            for _ in range(g - 1):
-                h: dict[int, int] = {}
-                for c, d in enumerate(self.dual_perm):
-                    for t, y in self._times(self._times(v, c), d).items():
-                        h[t] = h.get(t, 0) + y
-                v = h
-            value = sum(self._pair(v, c, d) for c, d in enumerate(self.dual_perm))
-        self.memo[key] = value
-        return value
+                self.memo[key] = self._pair(self._product(marks[:-2], 0), *marks[-2:]) if marks else 1
+        return self.memo[key]
 
     def count(self, g: int, radii: Sequence[RadiusClass] = ()) -> int:
         """Number of dormant opers of the given radii on a genus-g surface, by one chain.
@@ -402,7 +399,9 @@ class FusionEngine:
         Tensors are mappings from r-tuples of classes to exact scalars; the
         scalar slot of a rank-0 tensor is keyed by ().  The output coefficient
         at lambda is the count with the inputs and the duals of lambda marked,
-        one chain of multiplication operators each, as in count.
+        eps(u e_{dual lambda_1} ... e_{dual lambda_s}) with u = e_inputs h^g,
+        read as w[lambda_s] from w = u e_{dual lambda_1} ... e_{dual lambda_{s-1}}
+        (eps(u) = u[unit] when s = 0).  Unlike count, it leaves memo unfilled.
         """
         g, r, s = cob.genus, cob.n_in, cob.n_out
         items = []
@@ -415,11 +414,16 @@ class FusionEngine:
         for idx, val in items:
             if not val:
                 continue
-            for lam in itertools.product(range(len(self.basis)), repeat=s):
-                w = val * self._chain(g, idx + tuple(self.dual_perm[i] for i in lam))
-                if w:
+            layer = {(): self._product(sorted(idx), g)}
+            for _ in range(s - 1):
+                layer = {lam + (c,): w for lam, v in layer.items()
+                         for c, d in enumerate(self.dual_perm) if (w := self._times(v, d))}
+            reads = ({lam + (c,): x for lam, v in layer.items() for c, x in v.items()} if s
+                     else {(): layer[()].get(self.table.unit, 0)})
+            for lam, x in reads.items():
+                if x:
                     key = tuple(self.basis[i] for i in lam)
-                    out[key] = out.get(key, 0) + w
+                    out[key] = out.get(key, 0) + val * x
         return out
 
 

@@ -18,10 +18,10 @@ whose canonical lifts satisfy the interleaving chain a_1 >= b_1 > a_2 >= ...
 every permutation of every radii triple arising that way.
 
 Each component depends on part of the tuple only: e3 on the alpha-subset, e1
-on the beta-subset, and e2 on (sum(beta) - sum(alpha)) mod p.  The chain walk
-therefore resolves each component once per distinct input, at most
-C(p,n) + C(p,n-1) + p times, and keeps the triples as sorted index triples
-into xi(p, n), one per S3 orbit, behind one cache (_hyp_orbits).
+on the beta-subset, and e2 on (sum(beta) - sum(alpha)) mod p.  _hyp_orbits
+walks the alpha-subsets and the beta ranges under each, resolves each component
+once per distinct input (at most C(p,n) + C(p-1,n-1) + p lookups), and caches
+the triples as sorted index triples into xi(p, n), one per S3 orbit.
 """
 
 from __future__ import annotations
@@ -219,38 +219,38 @@ def _hyp_orbits(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
 
     Every sorted translate with 0 of every class of xi(p, n) is mapped to the
     index of its class, and a component, translated by its first entry and
-    sorted, is one of those keys exactly when its entries are distinct.  e1, e3
-    and e2 are resolved once per beta-subset, per alpha-subset and per
-    (sum(beta) - sum(alpha)) mod p, when the first chain that has it is walked;
-    the chain forces distinct entries, so a miss (a repeated entry) raises
-    AssertionError.
+    sorted, is one of those keys exactly when its entries are distinct.  alpha
+    runs over the descending n-subsets of [1, p] and beta over the ranges
+    a_i >= b_i > a_{i+1}.  e3 is resolved once per alpha, e1 up front for
+    every (n-1)-subset of [2, p] (each is in a chain: a_1 = p, a_{i+1} =
+    b_{i+1}, a_n = 1), and e2 at the first chain with its (sum(beta) -
+    sum(alpha)) mod p.  A miss (a repeated entry) raises AssertionError.
     """
+    if n < 2:
+        raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
     index = {t: i for i, c in enumerate(xi(p, n)) for t in _zero_translates(p, c.elems)}
-    by_alpha: dict[tuple[int, ...], tuple[int, int]] = {}
-    by_beta: dict[tuple[int, ...], tuple[int, int]] = {}
-    by_diff: dict[int, int] = {}
+    subsets = itertools.combinations(range(p, 1, -1), n - 1)
+    e1 = {beta: (_xi_index(p, index, (0, *((1 - b) % p for b in beta))), sum(beta)) for beta in subsets}
+    e2: dict[int, int] = {}
     orbits = set()
-    for alpha_l, beta_l in interleavings(p, n):
-        b = by_beta.get(beta_l)
-        if b is None:
-            b = by_beta[beta_l] = (_xi_index(p, index, exponents(p, alpha_l, beta_l)[0]), sum(beta_l))
-        a = by_alpha.get(alpha_l)
-        if a is None:
-            a = by_alpha[alpha_l] = (_xi_index(p, index, exponents(p, alpha_l, beta_l)[2]), sum(alpha_l))
-        d = (b[1] - a[1]) % p
-        h = by_diff.get(d)
-        if h is None:
-            h = by_diff[d] = _xi_index(p, index, exponents(p, alpha_l, beta_l)[1])
-        orbits.add(tuple(sorted((b[0], h, a[0]))))
+    for alpha in itertools.combinations(range(p, 0, -1), n):
+        i, s = _xi_index(p, index, alpha), sum(alpha)
+        gaps = [range(a, b, -1) for a, b in zip(alpha, alpha[1:])]
+        for j, t in map(e1.__getitem__, itertools.product(*gaps)):
+            d = (t - s) % p
+            h = e2.get(d)
+            if h is None:
+                h = e2[d] = _xi_index(p, index, (*range(n - 1), d))
+            orbits.add(tuple(sorted((j, h, i))))
     return tuple(sorted(orbits))
 
 
 def hyp_set(p: int, n: int) -> frozenset[tuple[RadiusClass, RadiusClass, RadiusClass]]:
     """Every permutation of every radii triple of a full-solution parameter tuple.
 
-    Built from the cached index orbits of _hyp_orbits, each permuted once; the
-    class triples themselves are not cached.  A chain with a repeated entry in
-    some component raises AssertionError.
+    Built from the cached index orbits of the alpha/beta walk (_hyp_orbits),
+    each permuted once; the class triples themselves are not cached.  A chain
+    with a repeated entry in some component raises AssertionError.
     """
     classes = xi(p, n)
     return frozenset(

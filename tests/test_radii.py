@@ -180,7 +180,7 @@ def test_interleavings_match_a_brute_force_filter(p, n):
     "p,n,size",
     [(3, 2, 1), (5, 2, 5), (5, 3, 5), (5, 4, 1), (7, 2, 14), (7, 3, 52), (7, 4, 45), (7, 5, 13), (7, 6, 1),
      (11, 2, 55), (11, 3, 869), (11, 4, 2218), (11, 7, 868), (11, 8, 231), (11, 9, 31),
-     (13, 2, 91), (13, 3, 2251), (13, 10, 366), (13, 11, 40)],
+     (13, 2, 91), (13, 3, 2251), (13, 10, 366), (13, 11, 40), (17, 8, 485502)],
 )
 def test_hyp_set_sizes(p, n, size):
     assert len(hyp_set(p, n)) == size
@@ -197,10 +197,32 @@ def test_hyp_set_matches_the_chain_by_chain_reference(p):
 
 
 def test_hyp_set_refuses_a_chain_with_a_repeated_entry(monkeypatch):
-    # beta = (1, 2) and alpha = (1, 1, 2) repeat entries in e1 and e3
-    monkeypatch.setattr(radii, "interleavings", lambda p, n: iter([((1, 1, 2), (1, 2))]))
+    # every component the walk resolves becomes alpha = (1, 1, 2), looked up in the walk's own index
+    resolve = radii._xi_index
+    monkeypatch.setattr(radii, "_xi_index", lambda p, index, es: resolve(p, index, (1, 1, 2)))
     with pytest.raises(AssertionError, match="non-distinct exponent class"):
         radii._hyp_orbits.__wrapped__(5, 3)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 4), (11, 4)])
+def test_hyp_orbits_walk_neither_chains_nor_exponents(monkeypatch, p, n):
+    """The walk runs over alpha-subsets and beta ranges, apart from the chain-by-chain reference."""
+    want = radii._hyp_orbits(p, n)
+
+    def refuse(*args):
+        raise AssertionError("called by the walk")
+
+    monkeypatch.setattr(radii, "interleavings", refuse)
+    monkeypatch.setattr(radii, "exponents", refuse)
+    assert radii._hyp_orbits.__wrapped__(p, n) == want
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (5, 5), (9, 2), (2, 1)])
+def test_hyp_set_refuses_p_and_n_outside_the_chain_range(p, n):
+    with pytest.raises(ValueError):
+        radii._hyp_orbits.__wrapped__(p, n)
+    with pytest.raises(ValueError):
+        hyp_set(p, n)
 
 
 @pytest.mark.parametrize("p,n", [(11, 4), (13, 6)])
@@ -214,7 +236,7 @@ def test_hyp_set_resolves_each_component_once_per_subset(monkeypatch, p, n):
 
     monkeypatch.setattr(radii, "_xi_index", counting)
     radii._hyp_orbits.__wrapped__(p, n)
-    assert 0 < len(calls) <= math.comb(p, n) + math.comb(p, n - 1) + p
+    assert 0 < len(calls) <= math.comb(p, n) + math.comb(p - 1, n - 1) + p
 
 
 @pytest.mark.parametrize("p,n", [(7, 3), (11, 4), (13, 6)])
