@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .fp import FpElem, Generic
 from .fusion import MAX_AXIOM_CLASSES, BaseTable, FusionEngine, _size, check_axioms
 from .hyperg import (
+    MAX_ORACLE_P,
     apply,
     has_full_solutions,
     kernel_rank,
@@ -105,7 +106,13 @@ def cmd_kernel(args) -> int:
     t = sorted(t_set(op))
     rank = kernel_rank(op)
     full = has_full_solutions(op)
-    oracle = oracle_rank(op) if op.all_fp() else None
+    if not op.all_fp():
+        skipped = "generic parameter"
+    elif args.p > MAX_ORACLE_P:
+        skipped = f"p above MAX_ORACLE_P = {MAX_ORACLE_P}"
+    else:
+        skipped = None
+    oracle = oracle_rank(op) if skipped is None else None
     payload = {
         "p": args.p,
         "alpha": [_param_json(x) for x in op.alpha],
@@ -120,7 +127,7 @@ def cmd_kernel(args) -> int:
         "T = {" + ", ".join(str(j) for j in t) + "}",
         f"rank = {rank}",
         f"full solutions: {'yes' if full else 'no'}",
-        "oracle rank = " + (str(oracle) if oracle is not None else "skipped (generic parameter)"),
+        "oracle rank = " + (str(oracle) if skipped is None else f"skipped ({skipped})"),
     ]
     if args.basis:
         vectors = root_basis(op)
@@ -329,7 +336,7 @@ def _build_parser() -> _Parser:
     sp = add("kernel", cmd_kernel, "kernel rank and full-solutions test of an operator")
     sp.add_argument("--alpha", required=True, help="comma-separated residues, 'generic' allowed")
     sp.add_argument("--beta", required=True, help="comma-separated residues, 'generic' allowed")
-    sp.add_argument("--basis", action="store_true", help="also print a kernel basis")
+    sp.add_argument("--basis", action="store_true", help=f"also print a kernel basis (p <= {MAX_ORACLE_P})")
 
     sp = add("xi", cmd_xi, "distinct-entry radius classes")
     sp.add_argument("--n", type=int, required=True)

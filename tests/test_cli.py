@@ -1,10 +1,13 @@
 import json
 import time
+from itertools import count
 
 import pytest
 
 from dormantops import cli
+from dormantops.fp import is_odd_prime
 from dormantops.fusion import BaseTable
+from dormantops.hyperg import MAX_ORACLE_P
 from dormantops.radii import canonical
 from dormantops.verlinde import verlinde_sum
 
@@ -18,6 +21,10 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def _prime_above(n):
+    return next(q for q in count(n + 1) if is_odd_prime(q))
 
 
 def test_kernel_full_chain(capsys):
@@ -44,6 +51,25 @@ def test_kernel_basis_is_verified(capsys):
     assert code == 0
     assert len(data["basis"]) == 2 == data["rank"]
     assert data["basis_verified"] is True
+
+
+def test_kernel_above_the_oracle_bound_skips_the_oracle(capsys):
+    p = str(_prime_above(MAX_ORACLE_P))
+    code, out, _ = run(capsys, "kernel", "--p", p, "--alpha", "1,2", "--beta", "3")
+    assert code == 0
+    assert f"oracle rank = skipped (p above MAX_ORACLE_P = {MAX_ORACLE_P})" in out
+    assert "rank = 1" in out
+    code, data, _ = run_json(capsys, "kernel", "--p", p, "--alpha", "1,2", "--beta", "3")
+    assert code == 0
+    assert data["oracle_rank"] is None and data["rank"] == 1 and "basis" not in data
+
+
+def test_kernel_basis_above_the_oracle_bound_is_an_error(capsys):
+    p = str(_prime_above(MAX_ORACLE_P))
+    code, out, err = run(capsys, "kernel", "--p", p, "--alpha", "1,2", "--beta", "3", "--basis", "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "MAX_ORACLE_P" in err
 
 
 def test_kernel_rejects_bad_input(capsys):

@@ -1,12 +1,13 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dormantops import hyperg
-from dormantops.fp import Generic
+from dormantops.fp import FpElem, Generic, is_odd_prime
 from dormantops.hyperg import (
+    MAX_ORACLE_P,
     GenericParameterError,
     apply,
     gauss,
@@ -241,10 +242,90 @@ def test_cached_elimination_keeps_equality_and_hash():
     cached = new_operator(97, (50, 3), (10,))
     fresh = new_operator(97, (50, 3), (10,))
     root_basis(cached)
+    assert kernel_rank(cached) == 2 and has_full_solutions(cached) and cached.all_fp()
     assert cached == fresh and fresh == cached
     assert hash(cached) == hash(fresh)
     assert len({cached, fresh}) == 1
     assert cached != new_operator(97, (50, 4), (10,))
+    # the lifts cache hands out fresh lists: mutating them changes nothing
+    a, b = cached.fp_lifts()
+    assert (a, b) == ([50, 3], [10])
+    a.append(1)
+    b.clear()
+    assert cached.fp_lifts() == ([50, 3], [10])
+    assert cached.fp_lifts()[0] is not cached.fp_lifts()[0]
+    assert sorted(t_set(cached)) == [0, 1] and kernel_rank(cached) == 2
+    assert cached == fresh and hash(cached) == hash(fresh)
+
+
+def test_one_sort_per_side_per_operator(monkeypatch):
+    calls = []
+    sort = hyperg.sort_params
+
+    def counting(params, p):
+        calls.append(p)
+        return sort(params, p)
+
+    monkeypatch.setattr(hyperg, "sort_params", counting)
+    op = new_operator(7, (6, 4, 2), (5, 3))
+    for _ in range(2):
+        assert t_set(op) == {0, 1, 2} and kernel_rank(op) == 3
+        assert has_full_solutions(op) and op.all_fp()
+        assert op.fp_lifts() == ([6, 4, 2], [5, 3])
+    assert calls == [7, 7]
+
+
+def test_oracle_reads_nothing_from_the_lifts(monkeypatch):
+    def refuse(params, p):
+        raise AssertionError("the oracle sorted the parameters")
+
+    monkeypatch.setattr(hyperg, "sort_params", refuse)
+    op = new_operator(7, (6, 4, 2), (5, 3))
+    assert oracle_rank(op) == 3
+    assert len(root_basis(op)) == 3
+
+
+def test_field_elements_are_interned_and_still_validated():
+    one = new_operator(7, (1, 8), (15,))
+    assert one.alpha[0] is one.alpha[1] is one.beta[0]
+    assert one.alpha[0] is new_operator(7, (-6,), (2,)).alpha[0]
+    assert one.alpha[0] is not new_operator(11, (1,), (2,)).alpha[0]
+    for p in (1, 4, 9, 2):
+        with pytest.raises(ValueError, match="odd prime"):
+            new_operator(p, (1,), (1,))
+    for value in (-1, 7, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            FpElem(value, 7)
+    with pytest.raises(ValueError, match="modulus"):
+        new_operator(7, (FpElem(1, 5),), (1,))
+
+
+def _prime_above(n):
+    return next(q for q in count(n + 1) if is_odd_prime(q))
+
+
+def test_oracle_refuses_p_above_its_bound():
+    p = _prime_above(MAX_ORACLE_P)
+    op = new_operator(p, (1, 2), (3,))
+    assert kernel_rank(op) == 1
+    for fn in (oracle_rank, root_basis):
+        with pytest.raises(ValueError, match="MAX_ORACLE_P"):
+            fn(op)
+
+
+def test_oracle_and_basis_at_a_large_prime():
+    p = 2003
+    rng = random.Random(2003)
+    lifts = sorted(rng.sample(range(1, p + 1), 7), reverse=True)
+    chain = new_operator(p, lifts[0::2], lifts[1::2])
+    ops = [chain, new_operator(p, (40, 7, 1500), (20, 1999))]
+    assert kernel_rank(chain) == 4 and has_full_solutions(chain)
+    for op in ops:
+        assert oracle_rank(op) == kernel_rank(op), (op.alpha, op.beta)
+        basis = root_basis(op)
+        assert len(basis) == kernel_rank(op)
+        for vec in basis:
+            assert len(vec) == p and not any(apply(op, vec)), (op.alpha, op.beta)
 
 
 def _assert_free_column_shape(basis):
@@ -283,8 +364,9 @@ def test_root_basis_free_column_shape():
 
 
 def test_echelon_on_dense_matrices():
-    """The elimination is generic: on dense matrices its rank matches a brute-force
-    null-vector count, and its rows are in echelon form with unit pivots."""
+    """The elimination is general: on dense rectangular matrices, fed as sparse
+    rows, its rank matches a brute-force null-vector count, and its rows are in
+    echelon form with unit pivots."""
     rng = random.Random(3)
     for _ in range(60):
         p = rng.choice([3, 5])
@@ -295,13 +377,16 @@ def test_echelon_on_dense_matrices():
             for v in product(range(p), repeat=ncols)
             if not any(sum(a * b for a, b in zip(row, v)) % p for row in mat)
         )
-        rows, pivots = hyperg._echelon([row[:] for row in mat], p)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
+        rows, pivots = hyperg._echelon(sparse, p)
+        assert len(rows) == nrows
         assert null == p ** (ncols - len(pivots)), (p, mat)
         assert pivots == sorted(set(pivots))
         for r, row in enumerate(rows):
+            assert all(0 < x < p for x in row.values()), (p, mat, rows)
             if r < len(pivots):
                 c = pivots[r]
-                assert row[:c] == [0] * c and row[c] == 1, (p, mat, rows)
-                assert all(rows[i][c] == 0 for i in range(r + 1, nrows)), (p, mat, rows)
+                assert min(row) == c and row[c] == 1, (p, mat, rows)
+                assert all(c not in rows[i] for i in range(r + 1, nrows)), (p, mat, rows)
             else:
-                assert not any(row), (p, mat, rows)
+                assert not row, (p, mat, rows)
