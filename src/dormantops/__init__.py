@@ -34,10 +34,7 @@ from .fusion import (
     AxiomReport,
     BaseTable,
     Cobordism,
-    FusionAlgebra,
     FusionEngine,
-    algebra,
-    base_n,
     check_axioms,
     count,
     evaluate,

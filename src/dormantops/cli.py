@@ -12,6 +12,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -203,7 +204,9 @@ def cmd_count(args) -> int:
     radii = _parse_radii(args.radii, args.p) if args.radii else []
     engine = FusionEngine(args.p, args.n)
     value = engine.count(args.g, radii)
-    rows = sorted((_triple_json(t), v, src) for t, (v, src) in engine.used.items())
+    elems = [list(c.elems) for c in engine.basis]
+    # the basis is lexicographic, so sorted index triples are sorted element lists
+    rows = [([elems[i] for i in idx], v, src) for idx, (v, src) in sorted(engine.used.items())]
     payload = {
         "p": args.p,
         "n": args.n,
@@ -266,13 +269,20 @@ def run_verify(p: int) -> dict:
             },
         )
         table = BaseTable(p, n)
-        computed = table.nonzero()
-        published = published_counts(p, n)
+        basis = table.basis
+        published = {}
         diff = []
-        for t in sorted(set(computed) | set(published), key=lambda t: _triple_json(t)):
-            a, b = computed.get(t, 0), published.get(t, 0)
+        for t, b in published_counts(p, n).items():
+            idx = tuple(table.index.get(c) for c in t)
+            if None in idx:
+                diff.append({"triple": _triple_json(t), "computed": 0, "published": b})
+            else:
+                published[idx] = b
+        for idx in itertools.product(range(len(basis)), repeat=3):
+            a, b = table.at(idx)[0], published.get(idx, 0)
             if a != b:
-                diff.append({"triple": _triple_json(t), "computed": a, "published": b})
+                diff.append({"triple": _triple_json([basis[i] for i in idx]), "computed": a, "published": b})
+        diff.sort(key=lambda row: row["triple"])
         record(n, "count-table", not diff, diff or None)
 
         report = check_axioms(p, n, table)

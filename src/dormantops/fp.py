@@ -16,6 +16,7 @@ __all__ = [
     "FpElem",
     "Generic",
     "Parameter",
+    "PRIME_TEST_BOUND",
     "is_odd_prime",
     "check_odd_prime",
     "lift",
@@ -23,15 +24,38 @@ __all__ = [
 ]
 
 
+# Miller-Rabin on the 13 primes up to 41 decides primality for every
+# n < PRIME_TEST_BOUND (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", 2015); the bound itself is the least strong pseudoprime to all
+# 13 bases, so from it on no answer is given.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for p >= PRIME_TEST_BOUND."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(
+            f"cannot decide whether {p} is prime: the primality test covers p < PRIME_TEST_BOUND = {PRIME_TEST_BOUND}"
+        )
+    if p in _WITNESSES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -5,7 +5,7 @@ from itertools import count
 import pytest
 
 from dormantops import cli
-from dormantops.fp import is_odd_prime
+from dormantops.fp import PRIME_TEST_BOUND, is_odd_prime
 from dormantops.fusion import BaseTable
 from dormantops.hyperg import MAX_ORACLE_P
 from dormantops.radii import canonical
@@ -70,6 +70,20 @@ def test_kernel_basis_above_the_oracle_bound_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "MAX_ORACLE_P" in err
+
+
+def test_kernel_at_a_large_prime_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kernel", "--p", str(2**61 - 1), "--alpha", "1,2", "--beta", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert "rank = 1" in out
+
+
+def test_kernel_refuses_p_at_or_above_the_primality_bound(capsys):
+    code, out, err = run(capsys, "kernel", "--p", str(PRIME_TEST_BOUND), "--alpha", "1,2", "--beta", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "PRIME_TEST_BOUND" in err
 
 
 def test_kernel_rejects_bad_input(capsys):
@@ -231,6 +245,24 @@ def test_verify_mismatch_exits_three(capsys, monkeypatch):
     bad = [row for row in data["checks"] if not row["ok"]]
     assert bad and bad[0]["check"] == "count-table"
     assert bad[0]["detail"]
+
+
+def test_verify_reports_a_published_class_outside_xi(capsys, monkeypatch):
+    real = cli.published_counts
+    outside = canonical(3, (0, 0))
+    assert not outside.in_xi
+
+    def extended(p, n):
+        counts = dict(real(p, n))
+        counts[(outside, outside, outside)] = 1
+        return counts
+
+    monkeypatch.setattr(cli, "published_counts", extended)
+    code, data, _ = run_json(capsys, "verify", "--p", "3")
+    assert code == 3
+    bad = [row for row in data["checks"] if not row["ok"]]
+    assert [row["check"] for row in bad] == ["count-table"]
+    assert bad[0]["detail"] == [{"triple": [[0, 0]] * 3, "computed": 0, "published": 1}]
 
 
 def test_json_output_is_deterministic(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dormantops.fp import FpElem, Generic, check_odd_prime, is_odd_prime, lift, sort_params
+from dormantops.fp import PRIME_TEST_BOUND, FpElem, Generic, check_odd_prime, is_odd_prime, lift, sort_params
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -15,6 +15,37 @@ def test_non_odd_primes_rejected(p):
     assert not is_odd_prime(p)
     with pytest.raises(ValueError):
         check_odd_prime(p)
+
+
+def _odd_prime_by_trial_division(n):
+    if n < 3 or n % 2 == 0:
+        return False
+    return all(n % d for d in range(3, int(n**0.5) + 1, 2))
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    assert all(is_odd_prime(n) == _odd_prime_by_trial_division(n) for n in range(-5, 10**5))
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_odd_prime(n)
+    with pytest.raises(ValueError, match="odd prime"):
+        check_odd_prime(n)
+
+
+def test_large_primes_are_decided():
+    assert is_odd_prime(2**61 - 1)
+    assert check_odd_prime(2**61 - 1) == 2**61 - 1
+    assert not is_odd_prime((2**31 - 1) * (2**19 - 1))
+
+
+@pytest.mark.parametrize("p", [PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2, 2**127 - 1])
+def test_no_answer_at_or_above_the_bound(p):
+    assert PRIME_TEST_BOUND == 3_317_044_064_679_887_385_961_981
+    for check in (is_odd_prime, check_odd_prime):
+        with pytest.raises(ValueError, match=f"PRIME_TEST_BOUND = {PRIME_TEST_BOUND}"):
+            check(p)
 
 
 def test_reduce_wraps_mod_p():

@@ -9,8 +9,6 @@ from dormantops.fusion import (
     BaseTable,
     Cobordism,
     FusionEngine,
-    algebra,
-    base_n,
     check_axioms,
     count,
     evaluate,
@@ -44,7 +42,8 @@ def test_published_nonzero_entry_counts(p, n, entries):
 
 @pytest.mark.parametrize("p,n", PAIRS)
 def test_base_table_reproduces_published_counts(p, n):
-    assert BaseTable(p, n).nonzero() == published_counts(p, n)
+    nonzero = {t: v for t, (v, _) in BaseTable(p, n).entries().items() if v}
+    assert nonzero == published_counts(p, n)
 
 
 def test_genus_zero_overrides_and_their_sources():
@@ -105,10 +104,11 @@ def test_orbit_resolution_matches_per_triple_resolution(p, n):
 
 def test_former_unknown_entry_resolves_to_two():
     c = canonical(11, (0, 2, 5))
-    assert base_n(11, 3, (c, c, c)) == 2
     engine = FusionEngine(11, 3)
+    assert engine.table.value((c, c, c)) == 2
     assert engine.count(0, [c, c, c]) == 2
-    assert engine.used == {(c, c, c): (2, "jacobi-trudi")}
+    i = engine.table.index[c]
+    assert engine.used == {(i, i, i): (2, "jacobi-trudi")}
 
 
 @pytest.mark.parametrize("p,n", [(11, 3), (11, 4), (13, 3), (13, 4)])
@@ -160,7 +160,7 @@ def test_size_limits_refuse_before_any_work():
 
 def test_base_values_are_s3_symmetric():
     table = BaseTable(7, 3)
-    for (a, b, c), v in table.nonzero().items():
+    for (a, b, c), (v, _) in table.entries().items():
         assert table.value((b, a, c)) == v
         assert table.value((c, b, a)) == v
 
@@ -232,7 +232,8 @@ def test_one_point_torus_reduction():
 def test_trace_records_base_entries_used():
     engine = FusionEngine(7, 3)
     assert engine.count(0, [W5, W5, W5]) == 2
-    assert engine.used == {(W5, W5, W5): (2, engine.table.source((W5, W5, W5)))}
+    i = engine.table.index[W5]
+    assert engine.used == {(i, i, i): (2, engine.table.source((W5, W5, W5)))}
 
 
 def test_memoized_counts_are_stable():
@@ -277,8 +278,10 @@ def _tree(table, g, key, memo):
 
 def _assert_used_is_read_from_the_table(engine):
     assert engine.used
-    for triple, cell in engine.used.items():
-        assert engine.table.at(engine.table.indices(triple)) == cell
+    k = len(engine.basis)
+    for idx, cell in engine.used.items():
+        assert len(idx) == 3 and all(type(i) is int and 0 <= i < k for i in idx), idx
+        assert engine.table.at(idx) == cell
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, p)] + [(11, 2), (13, 2)])
@@ -331,16 +334,6 @@ def test_module_level_conveniences():
     assert got == {(): 56}
 
 
-def test_algebra_unit_and_multiplication():
-    alg = algebra(5, 2)
-    unit = canonical(5, (0, 1))
-    i_unit = alg.index[unit]
-    one_hot = [1 if i == i_unit else 0 for i in range(len(alg.basis))]
-    for j in range(len(alg.basis)):
-        vec = [1 if i == j else 0 for i in range(len(alg.basis))]
-        assert alg.multiply(one_hot, vec) == vec
-
-
 def test_evaluate_special_cobordisms():
     engine = FusionEngine(5, 2)
     a, b = xi(5, 2)
@@ -354,14 +347,13 @@ def test_evaluate_special_cobordisms():
 
 
 def test_evaluate_multiplication_cobordism_matches_algebra():
-    alg = algebra(7, 3)
     engine = FusionEngine(7, 3)
-    w = xi(7, 3)
-    out = engine.evaluate(Cobordism(0, 2, 1), {(w[1], w[4]): 1})
+    table, w = engine.table, xi(7, 3)
+    i, j = 1, 4
+    out = engine.evaluate(Cobordism(0, 2, 1), {(w[i], w[j]): 1})
     vec = [out.get((c,), 0) for c in w]
-    va = [1 if c == w[1] else 0 for c in w]
-    vb = [1 if c == w[4] else 0 for c in w]
-    assert vec == alg.multiply(va, vb)
+    assert vec == [table.at((i, j, table.dual_perm[t]))[0] for t in range(len(w))]
+    assert vec == [0, 1, 1, 0, 1]
 
 
 def test_axiom_report_shape_and_passing():
@@ -389,6 +381,34 @@ def test_corrupted_table_fails_associativity():
     assert "associative" in failed
 
 
+@pytest.mark.parametrize("idx,failed", [
+    ((1, 2, 3), {
+        "base-s3-symmetric": "[[0, 1, 3], [0, 1, 4], [0, 1, 5]] vs permutation",
+        "commutative": "[0, 1, 3] * [0, 1, 4]",
+        "associative": "([0, 1, 3] * [0, 1, 3]) * [0, 1, 3]",
+        "frobenius": "<[0, 1, 3] * [0, 1, 4], [0, 1, 5]>",
+    }),
+    ((4, 4, 2), {
+        "base-s3-symmetric": "[[0, 1, 4], [0, 2, 4], [0, 2, 4]] vs permutation",
+        "associative": "([0, 1, 3] * [0, 1, 4]) * [0, 2, 4]",
+        "frobenius": "<[0, 1, 4] * [0, 2, 4], [0, 2, 4]>",
+    }),
+    ((0, 2, 4), {
+        "base-s3-symmetric": "[[0, 1, 2], [0, 1, 4], [0, 2, 4]] vs permutation",
+        "commutative": "[0, 1, 2] * [0, 1, 4]",
+        "associative": "([0, 1, 2] * [0, 1, 2]) * [0, 1, 4]",
+        "unit": "unit * [0, 1, 4]",
+        "frobenius": "<[0, 1, 2] * [0, 1, 4], [0, 2, 4]>",
+    }),
+])
+def test_one_ordered_cell_changed_fails_these_rows(idx, failed):
+    """One cell raised by 1 without the rest of its orbit; basis[0] is the unit."""
+    table = BaseTable(7, 3)
+    v, source = table.at(idx)
+    table._cells[table._slot(idx)] = (v + 1, source)
+    report = check_axioms(7, 3, table)
+    assert {r.name: r.witness for r in report.results if not r.passed} == failed
+    assert all(r.witness is None for r in report.results if r.passed)
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
@@ -465,8 +485,6 @@ def test_a_table_for_other_p_n_is_refused():
     table = BaseTable(7, 3)
     with pytest.raises(ValueError, match="p=7, n=3"):
         FusionEngine(11, 2, table)
-    with pytest.raises(ValueError, match="p=7, n=3"):
-        algebra(11, 2, table)
     with pytest.raises(ValueError, match="p=7, n=3"):
         check_axioms(7, 4, table)
     assert FusionEngine(7, 3, table).count(2, []) == 56
