@@ -410,18 +410,18 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
 
     The algebra has basis Xi_{p,n}, unit [0, ..., n-1], product
     e_i e_j = sum_t N(i, j, dual t) e_t and pairing <e_i, e_j> = 1 exactly when
-    j = dual i.  Cells are read through BaseTable.at and each product e_i e_j is
-    taken once by FusionEngine._times.  ValueError when |Xi_{p,n}| exceeds
-    MAX_AXIOM_CLASSES.
+    j = dual i.  Cells are read through BaseTable.at, and each product e_i e_j
+    is taken once from that definition, with no FusionEngine, so nothing keeps
+    the k^3 cells read.  ValueError when |Xi_{p,n}| exceeds MAX_AXIOM_CLASSES.
     """
     _size(p, n, MAX_AXIOM_CLASSES, "check_axioms")
     table = _table_for(p, n, table)
     report = AxiomReport(p=p, n=n)
-    engine = FusionEngine(p, n, table)
     basis, dual = table.basis, table.dual_perm
     k = len(basis)
     # prod[i][j] = e_i e_j as a sparse vector; no stored coefficient is zero
-    prod = [[engine._times({i: 1}, j) for j in range(k)] for i in range(k)]
+    prod = [[{t: x for t, d in enumerate(dual) if (x := table.at((i, j, d))[0])}
+             for j in range(k)] for i in range(k)]
     name_of = lambda i: str(list(basis[i].elems))
 
     def run(name, fail_witness):

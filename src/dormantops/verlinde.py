@@ -16,63 +16,128 @@ sign (-1)^{n(n-1)} is +1, and each factor inverse scaled by p is integral:
 because (1 - zeta^k) times the right side is p - sum_m zeta^m = p.  So a
 summand is an integer vector divided by a fixed power of p.  The summand
 depends only on the differences within S, so it is constant on translation
-orbits; each orbit has p members, n of which contain 0, and the sum runs over
-the subsets that contain 0, scaled by p/n.
+orbits.  Translating S by t adds n t to sum S, and gcd(n, p) = 1, so each
+orbit has p members and exactly one of them lies in
 
-The sum over those subsets runs over multiplicative orbits.  For d a unit mod
-p, sigma_d: x -> x^d permutes the monomials of R, so it is a ring
-automorphism, and it fixes N.  Since v N = (sum of the coefficients of v) N,
-the multiples of N form the ideal Z N, and congruence mod Z N is kept by sums
-and products.  The vector scaled(k) of p/(1-zeta^k) (scaled[k - 1] below) is
+    T = {n-subsets S of Z/p with sum S = 0 mod p};
+
+the sum is p times the sum over T.  T is enumerated as the (n-1)-subsets R of
+Z/p with the element -sum R mod p added, keeping the sorted tuples, that is
+those whose added element exceeds max R; at n = 1, T = {(0,)}.
+
+The sum over T runs over multiplicative orbits.  For d a unit mod p,
+sigma_d: x -> x^d permutes the monomials of R, so it is a ring automorphism,
+and it fixes N.  Since v N = (sum of the coefficients of v) N, the multiples
+of N form the ideal Z N, and congruence mod Z N is kept by sums and products.
+The vector scaled(k) of p/(1-zeta^k) (scaled[k - 1] below) is
 -sum_j j x^{jk} less a multiple of N, and sigma_d sends -sum_j j x^{jk} to
 -sum_j j x^{jdk}, so, with indices mod p,
 
-    sigma_d(scaled(k)) = scaled(dk)  mod Z N,
+    sigma_d(scaled(k)) = scaled(dk)  mod Z N.
 
-hence sigma_d(W[k]) = W[dk] for the pair factors W below, and the pair product
-term(S) over a subset S satisfies term(d S) = sigma_d(term(S)) mod Z N.  The
-map S -> d S keeps 0 in S, so it permutes the subsets with 0.  Each orbit
-under it is visited once, at its representative: the subset, as a sorted
-tuple, that is least among its images d S for d = 1..p-1, so an orbit needs
-no set of visited members.  Its pair product is computed once, and
-sigma_d(term) is added for one d per distinct image (the least such d), an
-index permutation.
+The pair factor W[d] = (scaled(d) scaled(-d))^{g-1} is therefore
+sigma_d(W[1]) mod Z N, and W[-d] = W[d] mod Z N, since sigma_{-1} swaps the
+two factors of W[1].  So the m pairs of S whose difference is +-d contribute
+sigma_d(W[1]^m), an index permutation of a power of one vector: the pair
+product term(S) takes one product per difference class present in S, not
+one per pair, and term(d S) = sigma_d(term(S)) mod Z N.  The
+map S -> d S keeps sum S = 0, so it permutes T.  Each orbit under it is
+visited once, at its representative: the subset, as a sorted tuple, that is
+least among its images d S for d = 1..p-1, so an orbit needs no set of
+visited members.  Its pair product is computed once, and sigma_d(term) is
+added for one d per distinct image (the least such d).
 
 The total vector is still built in full.  It differs from the subset-by-subset
 total only by an integer multiple of N, which changes neither the value
 _gr_rational reads (v[0] - v[1]) nor its test that v[1] = ... = v[p-1], so
 the rationality check gives the verdict and value of the direct sum.
 
-verlinde_count applies the validity window g >= 2, p > n * max(g-1, 2) and
-checks the result is a nonnegative integer.
+Products in R are taken by Kronecker substitution: u and v are packed as the
+integers sum_i u_i 2^(w i) and sum_i v_i 2^(w i), multiplied once, and the
+2p - 1 signed w-bit slots of the result, the coefficients of u v in Z[x], are
+folded mod x^p - 1.  The slot width w = bits(max|u|) + bits(max|v|) +
+bits(p) + 1 holds every coefficient, because
+
+    each coefficient of u v in Z[x] is a sum of at most p products u_i v_j,
+    so its absolute value is at most p max|u| max|v| < 2^(w-1).
+
+If anything is left above the last slot, the product has overflowed the
+slots and ArithmeticError is raised.
+
+verlinde_sum refuses p above MAX_SUM_P and |T| = |Xi_{p,n}| above
+MAX_SUM_CLASSES before any work.  verlinde_count applies the validity window
+g >= 2, p > n * max(g-1, 2) and checks the result is a nonnegative integer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .fp import check_odd_prime
+from .radii import xi_size
 
 __all__ = [
+    "MAX_SUM_P",
+    "MAX_SUM_CLASSES",
     "verlinde_sum",
     "verlinde_count",
     "poly_n3_g2",
 ]
 
 
+# Largest p verlinde_sum runs at.  Its per-prime work, the p - 1 scaled
+# inverses, the p - 1 images of each orbit and the genus power, grows about as
+# p^3 along the validity window's edge g = p/n: (257, 1, 257) takes 1.0 s and
+# (257, 2, 129) 0.4 s on a 2-vCPU Intel Xeon under CPython 3.11, while
+# (1009, 2, 2) takes 5.5 s.
+MAX_SUM_P = 257
+# Largest |T| = |Xi_{p,n}| verlinde_sum walks.  The slowest inputs inside the
+# validity window have n = 3 and the largest genus: (113, 3, 38), with 2,072
+# subsets, takes 0.95 s on the same machine, and (127, 3, 43), with 2,625,
+# 1.4 s; (41, 4, 11), with 2,470, takes 0.27 s.
+MAX_SUM_CLASSES = 2_500
+
+
 # integer group-ring helpers: vectors of length p indexed by zeta exponent
 
-def _gr_mul(u: Sequence[int], v: Sequence[int], p: int) -> list[int]:
+def _pack(v: Sequence[int], w: int) -> int:
+    """sum_i v_i 2^(w i), one signed w-bit slot per coefficient."""
+    acc = 0
+    for c in reversed(v):
+        acc = (acc << w) + c
+    return acc
+
+
+def _unpack(prod: int, w: int, p: int) -> list[int]:
+    """The 2p - 1 signed w-bit slots of prod, folded mod x^p - 1."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
     out = [0] * p
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    k = i + j
-                    out[k - p if k >= p else k] += a * b
+    for k in range(2 * p - 1):
+        c = prod & mask
+        if c >= half:
+            c -= 1 << w
+        prod = (prod - c) >> w
+        out[k - p if k >= p else k] += c
+    if prod:
+        raise ArithmeticError(f"packed product overflows {2 * p - 1} slots of {w} bits")
+    return out
+
+
+def _gr_mul(u: Sequence[int], v: Sequence[int], p: int) -> list[int]:
+    """u v in Z[x]/(x^p - 1), by one product of packed integers (module docstring)."""
+    w = max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length() + p.bit_length() + 1
+    return _unpack(_pack(u, w) * _pack(v, w), w, p)
+
+
+def _sigma(v: Sequence[int], d: int, p: int) -> list[int]:
+    """sigma_d(v): the coefficient of x^i moves to x^(d i)."""
+    out = [0] * p
+    for i, c in enumerate(v):
+        out[d * i % p] = c
     return out
 
 
@@ -89,7 +154,8 @@ def _scaled_inverses(p: int) -> tuple[tuple[int, ...], ...]:
     """Vectors of p * (1 - zeta^k)^{-1} for k = 1..p-1, with zeta^{p-1} coefficient 0.
 
     Each is -sum_j j x^{jk} less a multiple of the norm element, and is checked
-    by multiplying back: (1 - x^k) times it must read as p.
+    by multiplying back: (1 - x^k) times it must read as p.  The check goes
+    through the packed product, so it also tests _gr_mul at every prime.
     """
     out = []
     for k in range(1, p):
@@ -107,27 +173,42 @@ def _scaled_inverses(p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def verlinde_sum(p: int, n: int, g: int) -> Fraction:
-    """The bare closed-form sum, with no validity window applied."""
+    """The bare closed-form sum, with no validity window applied.
+
+    ValueError when p exceeds MAX_SUM_P or |T| = |Xi_{p,n}| exceeds
+    MAX_SUM_CLASSES, before any work.
+    """
     check_odd_prime(p)
     if not 1 <= n < p:
         raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
     if g < 1:
         raise ValueError(f"need genus >= 1, got {g}")
+    if p > MAX_SUM_P:
+        raise ValueError(f"p={p} is over the limit of {MAX_SUM_P} for the closed-form sum")
+    k = xi_size(p, n)
+    if k > MAX_SUM_CLASSES:
+        raise ValueError(
+            f"the closed-form sum at p={p}, n={n} walks {k} subsets, "
+            f"over the limit of {MAX_SUM_CLASSES}"
+        )
     e = g - 1
     scaled = _scaled_inverses(p)
-    # W[d] = (p^2 * (1-zeta^d)^{-1} (1-zeta^{p-d})^{-1})^(g-1) as an integer vector
-    one = [0] * p
-    one[0] = 1
-    W = [None] * p
-    for d in range(1, p):
-        base = _gr_mul(scaled[d - 1], scaled[p - d - 1], p)
-        acc = list(one)
-        for _ in range(e):
-            acc = _gr_mul(acc, base, p)
-        W[d] = acc
+    # W[1] = (p^2 * (1-zeta)^{-1} (1-zeta^{-1})^{-1})^(g-1); powers[m] = W[1]^m
+    base = _gr_mul(scaled[0], scaled[p - 2], p)
+    one = [1] + [0] * (p - 1)
+    w1 = one
+    # square and multiply: about 2 log2(g) products, not g - 1
+    for bit in bin(e)[2:]:
+        w1 = _gr_mul(w1, w1, p)
+        if bit == "1":
+            w1 = _gr_mul(w1, base, p)
+    powers = [one, w1]
     total = [0] * p
-    for rest in combinations(range(1, p), n - 1):
-        subset = (0,) + rest
+    for rest in combinations(range(p), n - 1):
+        last = -sum(rest) % p
+        if rest and last <= rest[-1]:
+            continue
+        subset = rest + (last,)
         # the distinct images d * subset, each with its least d; stop at a lesser one
         images = {}
         for d in range(1, p):
@@ -136,18 +217,20 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
                 break
             images.setdefault(image, d)
         else:
-            term = list(one)
-            for a, b in combinations(subset, 2):
-                term = _gr_mul(term, W[(a - b) % p], p)
+            # the m pairs at difference +-d contribute W[d]^m = sigma_d(W[1]^m)
+            mult = Counter(min(b - a, p - b + a) for a, b in combinations(subset, 2))
+            term = one
+            for d, m in mult.items():
+                while len(powers) <= m:
+                    powers.append(_gr_mul(powers[-1], w1, p))
+                term = _gr_mul(term, _sigma(powers[m], d, p), p)
             # term(d * subset) = sigma_d(term) modulo multiples of N
             for d in images.values():
                 for i, c in enumerate(term):
                     total[d * i % p] += c
-    # the subsets with 0 hold n of the p members of each translation orbit
-    value = Fraction(p, n) * _gr_rational(total)
-    # undo the p^2 scale on each of the n(n-1)/2 * (g-1) pair factors
-    value /= Fraction(p) ** (n * (n - 1) * e)
-    return value * Fraction(p) ** ((n - 1) * e - 1)
+    # p * (sum over T) * p^((n-1)(g-1)-1), with the p^2 scale undone on each
+    # of the n(n-1)/2 * (g-1) pair factors
+    return Fraction(_gr_rational(total), p ** ((n - 1) ** 2 * e))
 
 
 def verlinde_count(p: int, n: int, g: int) -> int:

@@ -185,6 +185,15 @@ def test_verlinde_command(capsys):
     assert code == 1 and "validity window" in err
 
 
+@pytest.mark.parametrize("p,n", [("101", "50"), ("1009", "1")])
+def test_verlinde_refuses_oversized_input_at_once(capsys, p, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verlinde", "--p", p, "--n", n, "--g", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error:") and "over the limit of" in err
+
+
 def test_axioms_command(capsys):
     code, data, _ = run_json(capsys, "axioms", "--p", "5", "--n", "2")
     assert code == 0 and data["passed"] is True

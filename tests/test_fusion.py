@@ -411,6 +411,14 @@ def test_one_ordered_cell_changed_fails_these_rows(idx, failed):
     assert all(r.witness is None for r in report.results if r.passed)
 
 
+def test_check_axioms_keeps_no_record_of_the_cells_it_reads(monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("check_axioms built a FusionEngine")
+
+    monkeypatch.setattr(fusion, "FusionEngine", no_engine)
+    assert check_axioms(7, 3).passed
+
+
 @pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
 def test_tqft_identities_through_the_gluing_recursion(p, n):
     engine = FusionEngine(p, n)

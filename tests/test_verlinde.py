@@ -1,15 +1,21 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from dormantops import verlinde
 from dormantops.fp import is_odd_prime
 from dormantops.fusion import FusionEngine
 from dormantops.radii import xi_size
 from dormantops.verlinde import (
+    MAX_SUM_CLASSES,
+    MAX_SUM_P,
     _gr_mul,
     _gr_rational,
+    _pack,
     _scaled_inverses,
+    _unpack,
     poly_n3_g2,
     verlinde_count,
     verlinde_sum,
@@ -17,6 +23,7 @@ from dormantops.verlinde import (
 
 
 def _mul(u, v, p):
+    """Schoolbook product in Z[x]/(x^p - 1), the reference for the packed one."""
     out = [0] * p
     for i, a in enumerate(u):
         for j, b in enumerate(v):
@@ -61,6 +68,35 @@ def _direct_sum(p, n, g):
     return _as_rational(total) / scale * Fraction(p) ** (e - 1)
 
 
+def _vectors(rng, p):
+    """Zero, unit, small signed, and signed entries of more than 200 bits."""
+    yield [0] * p
+    yield _root(p, rng.randrange(p))
+    for bits in (3, 40, 230, 700):
+        yield [rng.randint(-(1 << bits), 1 << bits) for _ in range(p)]
+    sparse = [0] * p
+    sparse[rng.randrange(p)] = -(1 << 250) - 1
+    yield sparse
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 29])
+def test_packed_product_equals_the_schoolbook_product(p):
+    rng = random.Random(p)
+    vectors = list(_vectors(rng, p))
+    for u in vectors:
+        for v in vectors:
+            assert _gr_mul(u, v, p) == _mul(u, v, p)
+
+
+def test_a_too_narrow_width_is_refused():
+    u = [(1 << 210) + i for i in range(5)]
+    w = 8
+    with pytest.raises(ArithmeticError, match="overflows 9 slots of 8 bits"):
+        _unpack(_pack(u, w) * _pack(u, w), w, 5)
+    w = 2 * 211 + (5).bit_length() + 1
+    assert _unpack(_pack(u, w) * _pack(u, w), w, 5) == _mul(u, u, 5)
+
+
 @pytest.mark.parametrize("p", [q for q in range(3, 30) if is_odd_prime(q)])
 def test_scaled_inverses_multiply_back_to_p(p):
     vecs = _scaled_inverses(p)
@@ -78,7 +114,8 @@ def test_scaled_inverse_literal():
 
 
 # the last five include orbits with nontrivial stabilizers under S -> d S:
-# {0} with the squares mod 11 at (11, 6) and {0, 1, 3, 9} at (13, 4)
+# {0} with the squares mod 11 at (11, 6) and {0, 1, 3, 9} at (13, 4); both
+# lie in T, so the walk meets them as representatives
 @pytest.mark.parametrize("p,n,g", [
     (3, 2, 2), (5, 2, 2), (5, 3, 2), (7, 2, 3), (7, 3, 2), (7, 4, 3),
     (5, 4, 2), (7, 5, 2), (7, 6, 2), (11, 6, 2), (13, 4, 2),
@@ -87,12 +124,19 @@ def test_group_ring_path_matches_direct_evaluation(p, n, g):
     assert verlinde_sum(p, n, g) == _direct_sum(p, n, g)
 
 
+@pytest.mark.parametrize("p,stable", [(11, (0, 1, 3, 4, 5, 9)), (13, (0, 1, 3, 9))])
+def test_the_stabilizer_cases_lie_in_t(p, stable):
+    assert sum(stable) % p == 0
+    fixing = [d for d in range(1, p) if sorted(d * s % p for s in stable) == list(stable)]
+    assert len(fixing) > 1
+
+
 PRIMES_TO_13 = [3, 5, 7, 11, 13]
 
 
-@pytest.mark.parametrize("p", PRIMES_TO_13)
+@pytest.mark.parametrize("p", PRIMES_TO_13 + [29])
 def test_rank_one_sum_is_the_empty_pair_product(p):
-    for g in range(1, 5):
+    for g in (1, 2, 3, 4, 7, 50):
         assert verlinde_sum(p, 1, g) == 1
 
 
@@ -101,6 +145,11 @@ def test_sum_is_symmetric_under_n_to_p_minus_n(p):
     for n in range(1, p):
         for g in range(1, 5):
             assert verlinde_sum(p, n, g) == verlinde_sum(p, p - n, g)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_sum_is_symmetric_at_17(g):
+    assert verlinde_sum(17, 8, g) == verlinde_sum(17, 9, g)
 
 
 @pytest.mark.parametrize("p,n,g,value", [
@@ -167,6 +216,34 @@ def test_sum_validation():
         verlinde_sum(7, 7, 2)
     with pytest.raises(ValueError):
         verlinde_sum(7, 3, 0)
+
+
+def _prime_above(n):
+    return next(q for q in range(n + 1, 2 * n + 2) if is_odd_prime(q))
+
+
+def test_input_bounds_admit_every_benchmark_and_test_input():
+    assert MAX_SUM_P >= 29
+    assert xi_size(17, 8) <= MAX_SUM_CLASSES
+    assert verlinde_sum(MAX_SUM_P, 2, 2).denominator == 1
+
+
+@pytest.mark.parametrize("p,n,match", [
+    (_prime_above(MAX_SUM_P), 1, "over the limit of"),
+    (1009, 2, "over the limit of"),
+    (101, 50, "subsets, over the limit of"),
+    (19, 9, "walks 4862 subsets"),
+])
+def test_sum_refuses_oversized_input_before_any_work(monkeypatch, p, n, match):
+    def no_work(p):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(verlinde, "_scaled_inverses", no_work)
+    with pytest.raises(ValueError, match=match):
+        verlinde_sum(p, n, 2)
+    if p > n * 2:
+        with pytest.raises(ValueError, match=match):
+            verlinde_count(p, n, 2)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (11, 3)])
