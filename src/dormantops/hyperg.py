@@ -7,19 +7,20 @@ An operator is determined by parameter tuples alpha (length n >= 1) and beta
     x^s  |->  Q(s-1) x^{s-1} + P(s) x^s,
 
 with P(X) = -prod_j (X + alpha_j) and Q(X) = (X+1) prod_j (X + beta_j), so its
-matrix is upper bidiagonal of size p.  The rank of the solution space inside
-the polynomial span has a closed combinatorial form (t_set below) and an
-oracle by general sparse forward elimination, independent of the closed form;
-the two are kept as separate code paths on purpose and compared in tests.
+matrix is upper bidiagonal of size p.  matrix(op) holds it as p sparse rows
+{column: entry}, P(l) at column l and Q(l) at column l+1, with zero entries
+left out.  The rank of the solution space inside the polynomial span has a
+closed combinatorial form (t_set below) and an oracle by general sparse
+forward elimination, independent of the closed form; the two are kept as
+separate code paths on purpose and compared in tests.
 
-The oracle brings the p x p matrix, held as sparse rows, to row echelon form
-by forward elimination that makes no use of the bidiagonal pattern, and
-root_basis reads null vectors off it by back substitution.  There is one
-elimination per operator: oracle_rank and root_basis share it through a
-cached property of the operator, as the closed form and has_full_solutions
-share the sorted parameter lifts through another.  The oracle reads nothing
-from the lifts.  Its cost grows about as p^2, so it refuses p above
-MAX_ORACLE_P.
+The oracle brings these rows to row echelon form by forward elimination that
+makes no use of the bidiagonal pattern, and root_basis reads null vectors off
+it by back substitution.  There is one elimination per operator: oracle_rank
+and root_basis share it through a cached property of the operator, as the
+closed form and has_full_solutions share the sorted parameter lifts through
+another.  The oracle reads nothing from the lifts.  Its cost grows about as
+p^2, so it refuses p above MAX_ORACLE_P.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "MAX_ORACLE_P",
     "GenericParameterError",
     "HGOperator",
-    "BidiagMatrix",
     "new_operator",
     "gauss",
     "t_set",
@@ -133,7 +133,7 @@ class HGOperator:
             raise ValueError(
                 f"p={self.p} is above MAX_ORACLE_P={MAX_ORACLE_P}, the bound of the elimination oracle"
             )
-        return _echelon(matrix(self).sparse_rows(), self.p)
+        return _echelon(matrix(self), self.p)
 
 
 def new_operator(p: int, alpha: Iterable[object], beta: Iterable[object]) -> HGOperator:
@@ -192,40 +192,6 @@ def has_full_solutions(op: HGOperator) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BidiagMatrix:
-    """Upper bidiagonal matrix attached to an all-F_p operator.
-
-    diag[l] = P(l) for l = 0..p-1 and superdiag[l] = Q(l) for l = 0..p-2;
-    column s is the image of x^s.
-    """
-
-    p: int
-    diag: tuple[int, ...]
-    superdiag: tuple[int, ...]
-
-    def sparse_rows(self) -> list[dict[int, int]]:
-        """Row i as {column: entry} over its nonzero entries only."""
-        rows = []
-        for i, d in enumerate(self.diag):
-            row = {i: d} if d else {}
-            if i < self.p - 1 and self.superdiag[i]:
-                row[i + 1] = self.superdiag[i]
-            rows.append(row)
-        return rows
-
-    def mat_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.p:
-            raise ValueError(f"vector length must be {self.p}")
-        out = []
-        for i in range(self.p):
-            v = self.diag[i] * vec[i]
-            if i < self.p - 1:
-                v += self.superdiag[i] * vec[i + 1]
-            out.append(v % self.p)
-        return tuple(out)
-
-
 def _require_fp(op: HGOperator) -> tuple[list[int], list[int]]:
     # every parameter is an FpElem or a Generic; checked here, not read from
     # op.all_fp(), so the oracle shares nothing with the closed form's lifts
@@ -236,22 +202,31 @@ def _require_fp(op: HGOperator) -> tuple[list[int], list[int]]:
     return avals, bvals
 
 
-def matrix(op: HGOperator) -> BidiagMatrix:
+def matrix(op: HGOperator) -> list[dict[int, int]]:
+    """The p x p upper bidiagonal matrix of an all-F_p operator, as sparse rows.
+
+    Row l is {column: entry} over its nonzero entries: P(l) at column l and,
+    for l < p-1, Q(l) at column l+1; column s is the image of x^s.  The rows
+    are fresh on every call, so _echelon may eliminate them in place.
+    """
     avals, bvals = _require_fp(op)
     p = op.p
-    diag = []
+    rows = []
     for l in range(p):
+        row = {}
         prod = 1
         for a in avals:
             prod = prod * (l + a) % p
-        diag.append(-prod % p)
-    superdiag = []
-    for l in range(p - 1):
-        prod = l + 1
-        for b in bvals:
-            prod = prod * (l + b) % p
-        superdiag.append(prod % p)
-    return BidiagMatrix(p, tuple(diag), tuple(superdiag))
+        if prod:
+            row[l] = -prod % p
+        if l < p - 1:
+            prod = l + 1
+            for b in bvals:
+                prod = prod * (l + b) % p
+            if prod:
+                row[l + 1] = prod
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=32)

@@ -122,12 +122,16 @@ def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
     return RadiusClass._from_lexmin(p, _lexmin_translate(p, es))
 
 
-@lru_cache(maxsize=None)
-def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
-    """All distinct-entry classes of size n, sorted; cardinality C(p,n)/p."""
+def _check_xi_args(p: int, n: int) -> None:
     check_odd_prime(p)
     if not 1 <= n < p:
         raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
+
+
+@lru_cache(maxsize=None)
+def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
+    """All distinct-entry classes of size n, sorted; cardinality C(p,n)/p."""
+    _check_xi_args(p, n)
     seen = set()
     # every canonical representative contains 0
     for rest in itertools.combinations(range(1, p), n - 1):
@@ -136,7 +140,8 @@ def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
 
 
 def xi_size(p: int, n: int) -> int:
-    """C(p,n)/p, the closed-form cardinality of xi(p, n)."""
+    """C(p,n)/p, the closed-form cardinality of xi(p, n), with the same checks."""
+    _check_xi_args(p, n)
     return factorial(p - 1) // (factorial(n) * factorial(p - n))
 
 

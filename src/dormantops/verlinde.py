@@ -29,13 +29,15 @@ The sum over T runs over multiplicative orbits.  For d a unit mod p,
 sigma_d: x -> x^d permutes the monomials of R, so it is a ring automorphism,
 and it fixes N.  Since v N = (sum of the coefficients of v) N, the multiples
 of N form the ideal Z N, and congruence mod Z N is kept by sums and products.
-The vector scaled(k) of p/(1-zeta^k) (scaled[k - 1] below) is
--sum_j j x^{jk} less a multiple of N, and sigma_d sends -sum_j j x^{jk} to
--sum_j j x^{jdk}, so, with indices mod p,
+A vector scaled(k) of p/(1-zeta^k) is -sum_j j x^{jk} plus a multiple of
+N, and sigma_d sends -sum_j j x^{jk} to -sum_j j x^{jdk}, so, with indices
+mod p,
 
     sigma_d(scaled(k)) = scaled(dk)  mod Z N.
 
-The pair factor W[d] = (scaled(d) scaled(-d))^{g-1} is therefore
+So every scaled(k) is sigma_k(scaled(1)) mod Z N, for the one vector
+scaled(1) = (p-1, ..., 1, 0) that _scaled_inverse builds and checks.  The
+pair factor W[d] = (scaled(d) scaled(-d))^{g-1} is therefore
 sigma_d(W[1]) mod Z N, and W[-d] = W[d] mod Z N, since sigma_{-1} swaps the
 two factors of W[1].  So the m pairs of S whose difference is +-d contribute
 sigma_d(W[1]^m), an index permutation of a power of one vector: the pair
@@ -73,7 +75,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -89,11 +90,11 @@ __all__ = [
 ]
 
 
-# Largest p verlinde_sum runs at.  Its per-prime work, the p - 1 scaled
-# inverses, the p - 1 images of each orbit and the genus power, grows about as
-# p^3 along the validity window's edge g = p/n: (257, 1, 257) takes 1.0 s and
-# (257, 2, 129) 0.4 s on a 2-vCPU Intel Xeon under CPython 3.11, while
-# (1009, 2, 2) takes 5.5 s.
+# Largest p verlinde_sum runs at.  Its per-prime work, the p - 1 images of
+# each orbit and the genus power, grows about as p^3 along the validity
+# window's edge g = p/n: (257, 1, 257) takes 0.5-1.0 s and (257, 2, 129)
+# 0.2-0.5 s on a shared 2-vCPU Intel Xeon under CPython 3.11, whose speed
+# varies about twofold, while (509, 1, 509) takes 5.7-11 s.
 MAX_SUM_P = 257
 # Largest |T| = |Xi_{p,n}| verlinde_sum walks.  The slowest inputs inside the
 # validity window have n = 3 and the largest genus: (113, 3, 38), with 2,072
@@ -149,27 +150,18 @@ def _gr_rational(v: Sequence[int]) -> int:
     return v[0] - head
 
 
-@lru_cache(maxsize=None)
-def _scaled_inverses(p: int) -> tuple[tuple[int, ...], ...]:
-    """Vectors of p * (1 - zeta^k)^{-1} for k = 1..p-1, with zeta^{p-1} coefficient 0.
+def _scaled_inverse(p: int) -> list[int]:
+    """The vector (p-1, ..., 1, 0) of p * (1 - zeta)^{-1}.
 
-    Each is -sum_j j x^{jk} less a multiple of the norm element, and is checked
-    by multiplying back: (1 - x^k) times it must read as p.  The check goes
-    through the packed product, so it also tests _gr_mul at every prime.
+    It is -sum_j j x^j plus (p-1) N, and is checked by multiplying back:
+    (1 - x) times it must read as p.  The check goes through the packed
+    product, so it also tests _gr_mul at every prime.
     """
-    out = []
-    for k in range(1, p):
-        vec = [0] * p
-        for j in range(p):
-            vec[j * k % p] = -j
-        top = vec[p - 1]
-        vec = tuple(c - top for c in vec)
-        factor = [0] * p
-        factor[0], factor[k] = 1, -1
-        if _gr_rational(_gr_mul(factor, vec, p)) != p:
-            raise ArithmeticError(f"(1-zeta^{k}) * p*(1-zeta^{k})^-1 != p at p={p}")
-        out.append(vec)
-    return tuple(out)
+    vec = list(range(p - 1, -1, -1))
+    factor = [1, -1] + [0] * (p - 2)
+    if _gr_rational(_gr_mul(factor, vec, p)) != p:
+        raise ArithmeticError(f"(1-zeta) * p*(1-zeta)^-1 != p at p={p}")
+    return vec
 
 
 def verlinde_sum(p: int, n: int, g: int) -> Fraction:
@@ -192,9 +184,9 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
             f"over the limit of {MAX_SUM_CLASSES}"
         )
     e = g - 1
-    scaled = _scaled_inverses(p)
+    scaled = _scaled_inverse(p)
     # W[1] = (p^2 * (1-zeta)^{-1} (1-zeta^{-1})^{-1})^(g-1); powers[m] = W[1]^m
-    base = _gr_mul(scaled[0], scaled[p - 2], p)
+    base = _gr_mul(scaled, _sigma(scaled, p - 1, p), p)
     one = [1] + [0] * (p - 1)
     w1 = one
     # square and multiply: about 2 log2(g) products, not g - 1

@@ -4,7 +4,7 @@ from itertools import count
 
 import pytest
 
-from dormantops import cli
+from dormantops import cli, fusion
 from dormantops.fp import PRIME_TEST_BOUND, is_odd_prime
 from dormantops.fusion import BaseTable
 from dormantops.hyperg import MAX_ORACLE_P
@@ -205,7 +205,7 @@ def test_axioms_failure_exits_three(capsys, monkeypatch):
     def corrupted(p, n):
         return BaseTable(p, n).with_value((w1, w1, w1), 2)
 
-    monkeypatch.setattr(cli, "BaseTable", corrupted)
+    monkeypatch.setattr(fusion, "BaseTable", corrupted)
     code, data, _ = run_json(capsys, "axioms", "--p", "7", "--n", "3")
     assert code == 3
     assert data["passed"] is False

@@ -150,6 +150,24 @@ def test_dual_witness_refuses_a_disagreement(monkeypatch):
     assert "Jacobi-Trudi gives 1, dual:hyp gives 0" in str(err.value)
 
 
+def test_hyp_witness_refuses_a_disagreement(monkeypatch):
+    real = fusion._closure
+
+    def dropped(basis, pieri):
+        # the unit comes first and its rows are the identity {x: {x: 1}}; drop
+        # one entry, on a copy, since _closure shares the identity rows
+        for a, rows in enumerate(real(basis, pieri)):
+            if a == 0:
+                rows = {c: dict(row) for c, row in rows.items()}
+                del rows[0][0]
+            yield rows
+
+    monkeypatch.setattr(fusion, "_closure", dropped)
+    with pytest.raises(AssertionError) as err:
+        BaseTable(7, 3)
+    assert "Jacobi-Trudi gives 0, hyp gives 1" in str(err.value)
+
+
 def test_size_limits_refuse_before_any_work():
     assert xi_size(13, 6) <= fusion.MAX_TABLE_CLASSES < xi_size(17, 5)
     with pytest.raises(ValueError, match="1430 classes"):

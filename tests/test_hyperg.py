@@ -33,8 +33,7 @@ def test_three_term_chain_has_full_rank():
 def test_repeated_alpha_collapses_to_rank_one():
     """With alpha = (1, 1) both lifts land in the same gap, so only one gap is hit."""
     op = new_operator(5, (1, 1), (1,))
-    assert matrix(op).diag == (4, 1, 1, 4, 0)
-    assert matrix(op).superdiag == (1, 4, 4, 1)
+    assert matrix(op) == [{0: 4, 1: 1}, {1: 1, 2: 4}, {2: 1, 3: 4}, {3: 4, 4: 1}, {}]
     assert sorted(t_set(op)) == [0]
     assert kernel_rank(op) == 1
     assert oracle_rank(op) == 1
@@ -68,20 +67,24 @@ def test_oracle_paths_reject_generics(fn):
 
 def test_matrix_entries_follow_the_recurrence():
     op = new_operator(7, (2, 5), (3,))
-    mat = matrix(op)
-    for l in range(7):
-        assert mat.diag[l] == -((l + 2) * (l + 5)) % 7
-    for l in range(6):
-        assert mat.superdiag[l] == (l + 1) * (l + 3) % 7
+    rows = matrix(op)
+    assert len(rows) == 7
+    for l, row in enumerate(rows):
+        assert set(row) <= {l, l + 1} and 0 not in row.values()
+        assert row.get(l, 0) == -((l + 2) * (l + 5)) % 7
+        if l < 6:
+            assert row.get(l + 1, 0) == (l + 1) * (l + 3) % 7
+    # P(2) = P(5) = Q(4) = 0 are left out, and row 6 has no column 7
+    assert rows == [{0: 4, 1: 3}, {1: 3, 2: 1}, {3: 1}, {3: 2, 4: 3}, {4: 2}, {6: 6}, {6: 3}]
 
 
 def test_apply_matches_matrix_action():
     op = new_operator(7, (2, 5), (3, 3))
-    mat = matrix(op)
+    rows = matrix(op)
     rng = random.Random(11)
     for _ in range(20):
         vec = [rng.randrange(7) for _ in range(7)]
-        assert apply(op, vec) == mat.mat_vec(vec)
+        assert apply(op, vec) == tuple(sum(v * vec[j] for j, v in row.items()) % 7 for row in rows)
 
 
 def test_root_basis_size_and_annihilation():

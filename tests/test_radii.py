@@ -91,6 +91,15 @@ def test_xi_size_formula(p):
         assert all(c.in_xi for c in classes)
 
 
+@pytest.mark.parametrize("p,n", [(9, 3), (7, 7), (7, 0), (7, 8)])
+def test_xi_size_refuses_what_xi_refuses(p, n):
+    with pytest.raises(ValueError) as want:
+        xi(p, n)
+    with pytest.raises(ValueError) as got:
+        xi_size(p, n)
+    assert str(got.value) == str(want.value)
+
+
 def test_xi_7_3_listing():
     assert xi(7, 3) == tuple(W)
     assert xi(5, 2) == (canonical(5, (0, 1)), canonical(5, (0, 2)))

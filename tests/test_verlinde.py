@@ -14,7 +14,8 @@ from dormantops.verlinde import (
     _gr_mul,
     _gr_rational,
     _pack,
-    _scaled_inverses,
+    _scaled_inverse,
+    _sigma,
     _unpack,
     poly_n3_g2,
     verlinde_count,
@@ -99,18 +100,17 @@ def test_a_too_narrow_width_is_refused():
 
 @pytest.mark.parametrize("p", [q for q in range(3, 30) if is_odd_prime(q)])
 def test_scaled_inverses_multiply_back_to_p(p):
-    vecs = _scaled_inverses(p)
-    assert len(vecs) == p - 1
-    for k, vec in enumerate(vecs, start=1):
+    # the orbit walk takes p/(1 - zeta^d) as sigma_d of the one vector
+    vec = _scaled_inverse(p)
+    for d in range(1, p):
         factor = [0] * p
-        factor[0], factor[k] = 1, -1
-        assert _gr_rational(_gr_mul(factor, vec, p)) == p
-        assert vec[-1] == 0
+        factor[0], factor[d] = 1, -1
+        assert _gr_rational(_gr_mul(factor, _sigma(vec, d, p), p)) == p
 
 
 def test_scaled_inverse_literal():
     # (1 - x)(4 + 3x + 2x^2 + x^3) = 4 - x - x^2 - x^3 - x^4 = 5 - (1 + x + ... + x^4)
-    assert _scaled_inverses(5)[0] == (4, 3, 2, 1, 0)
+    assert _scaled_inverse(5) == [4, 3, 2, 1, 0]
 
 
 # the last five include orbits with nontrivial stabilizers under S -> d S:
@@ -238,7 +238,7 @@ def test_sum_refuses_oversized_input_before_any_work(monkeypatch, p, n, match):
     def no_work(p):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(verlinde, "_scaled_inverses", no_work)
+    monkeypatch.setattr(verlinde, "_scaled_inverse", no_work)
     with pytest.raises(ValueError, match=match):
         verlinde_sum(p, n, 2)
     if p > n * 2:
