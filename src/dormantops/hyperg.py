@@ -180,16 +180,12 @@ def kernel_rank(op: HGOperator) -> int:
 def has_full_solutions(op: HGOperator) -> bool:
     """True when the solution space has the maximal possible rank n.
 
-    Requires every parameter in F_p, m = n-1, and the interleaving chain
-    a_1 >= b_1 > a_2 >= b_2 > ... > b_{n-1} > a_n on canonical lifts.
+    Requires every parameter in F_p and m = n-1; then the closed form has n
+    alpha lifts in m+1 = n gaps, so the rank is n exactly when each gap holds
+    one lift.  With the lifts sorted, that is the interleaving chain
+    a_1 >= b_1 > a_2 >= b_2 > ... > b_{n-1} > a_n.
     """
-    a, b, all_fp = op._lifts
-    if not all_fp or op.m != op.n - 1:
-        return False
-    for i in range(op.m):
-        if not (a[i] >= b[i] > a[i + 1]):
-            return False
-    return True
+    return op.all_fp() and op.m == op.n - 1 and kernel_rank(op) == op.n
 
 
 def _require_fp(op: HGOperator) -> tuple[list[int], list[int]]:
@@ -229,27 +225,18 @@ def matrix(op: HGOperator) -> list[dict[int, int]]:
     return rows
 
 
-@lru_cache(maxsize=32)
-def _inverses(p: int) -> tuple[int, ...]:
-    """inv[x] = x^-1 mod p for x in 1..p-1, with inv[0] = 0 unused."""
-    inv = [0, 1] + [0] * (p - 2)
-    for x in range(2, p):
-        inv[x] = -(p // x) * inv[p % x] % p
-    return tuple(inv)
-
-
 def _echelon(rows: list[dict[int, int]], p: int) -> tuple[list[dict[int, int]], list[int]]:
     """Row echelon form over F_p by general sparse forward elimination, in place.
 
     Each row is a dict from column to nonzero residue, and the rows may have
     any shape; no pattern of the matrix is assumed.  Columns are visited in
     increasing order.  The pivot of column c is the first row from r down with
-    a nonzero in c; it is swapped to row r and scaled so its pivot is 1, and
-    every row below it is checked and cleared in c.  Entries that cancel are
-    dropped, so every stored entry is nonzero.  Returns (rows, pivots): rows
-    0..len(pivots)-1 are the pivot rows, the rest are empty.
+    a nonzero in c; it is swapped to row r and scaled by pow(pivot, -1, p) so
+    its pivot is 1, and every row below it is checked and cleared in c.
+    Entries that cancel are dropped, so every stored entry is nonzero.
+    Returns (rows, pivots): rows 0..len(pivots)-1 are the pivot rows, the rest
+    are empty.
     """
-    inv = _inverses(p)
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -261,7 +248,7 @@ def _echelon(rows: list[dict[int, int]], p: int) -> tuple[list[dict[int, int]], 
             i += 1
         if i == nrows:
             continue
-        s = inv[rows[i][c]]
+        s = pow(rows[i][c], -1, p)
         pivot = {j: v * s % p for j, v in rows[i].items()}
         rows[i] = rows[r]
         rows[r] = pivot

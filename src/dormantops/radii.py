@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -142,7 +142,7 @@ def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
 def xi_size(p: int, n: int) -> int:
     """C(p,n)/p, the closed-form cardinality of xi(p, n), with the same checks."""
     _check_xi_args(p, n)
-    return factorial(p - 1) // (factorial(n) * factorial(p - n))
+    return comb(p, n) // p
 
 
 def neg_dual(c: RadiusClass) -> RadiusClass:

@@ -66,9 +66,10 @@ bits(p) + 1 holds every coefficient, because
 If anything is left above the last slot, the product has overflowed the
 slots and ArithmeticError is raised.
 
-verlinde_sum refuses p above MAX_SUM_P and |T| = |Xi_{p,n}| above
-MAX_SUM_CLASSES before any work.  verlinde_count applies the validity window
-g >= 2, p > n * max(g-1, 2) and checks the result is a nonnegative integer.
+verlinde_sum refuses p above MAX_SUM_P, p (g - 1) above
+MAX_SUM_P (MAX_SUM_P - 1) and |T| = |Xi_{p,n}| above MAX_SUM_CLASSES before
+any work.  verlinde_count applies the validity window g >= 2,
+p > n * max(g-1, 2) and checks the result is a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -90,11 +91,15 @@ __all__ = [
 ]
 
 
-# Largest p verlinde_sum runs at.  Its per-prime work, the p - 1 images of
-# each orbit and the genus power, grows about as p^3 along the validity
-# window's edge g = p/n: (257, 1, 257) takes 0.5-1.0 s and (257, 2, 129)
-# 0.2-0.5 s on a shared 2-vCPU Intel Xeon under CPython 3.11, whose speed
-# varies about twofold, while (509, 1, 509) takes 5.7-11 s.
+# Largest p verlinde_sum runs at; it also bounds the genus.  The integers of
+# each product grow as p (g - 1), so the sum refuses p (g - 1) above
+# MAX_SUM_P (MAX_SUM_P - 1).  Inside the validity window g - 1 < p/n, so
+# p (g - 1) <= p (p - 1) stays within that limit.  On a shared 2-vCPU Intel
+# Xeon under CPython 3.11, whose speed varies about twofold, (257, 1, 257)
+# and (257, 2, 257), both at the limit, take 1.0 s, and (257, 2, 129) 0.4 s,
+# while (257, 2, 300) would take 1.4-2.1 s and (257, 2, 2000) 26 s.  A small
+# genus stays cheap, (1009, 2, 2) in 0.14 s, but along the window's edge the
+# work grows about as p^3: (509, 1, 509) takes 5.7-12 s.
 MAX_SUM_P = 257
 # Largest |T| = |Xi_{p,n}| verlinde_sum walks.  The slowest inputs inside the
 # validity window have n = 3 and the largest genus: (113, 3, 38), with 2,072
@@ -167,8 +172,9 @@ def _scaled_inverse(p: int) -> list[int]:
 def verlinde_sum(p: int, n: int, g: int) -> Fraction:
     """The bare closed-form sum, with no validity window applied.
 
-    ValueError when p exceeds MAX_SUM_P or |T| = |Xi_{p,n}| exceeds
-    MAX_SUM_CLASSES, before any work.
+    ValueError when p exceeds MAX_SUM_P, p (g - 1) exceeds
+    MAX_SUM_P (MAX_SUM_P - 1), or |T| = |Xi_{p,n}| exceeds MAX_SUM_CLASSES,
+    before any work.
     """
     check_odd_prime(p)
     if not 1 <= n < p:
@@ -177,6 +183,11 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
         raise ValueError(f"need genus >= 1, got {g}")
     if p > MAX_SUM_P:
         raise ValueError(f"p={p} is over the limit of {MAX_SUM_P} for the closed-form sum")
+    if p * (g - 1) > MAX_SUM_P * (MAX_SUM_P - 1):
+        raise ValueError(
+            f"p*(g-1) = {p * (g - 1)} at p={p}, g={g} is over the limit of "
+            f"{MAX_SUM_P * (MAX_SUM_P - 1)} for the closed-form sum"
+        )
     k = xi_size(p, n)
     if k > MAX_SUM_CLASSES:
         raise ValueError(

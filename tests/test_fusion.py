@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -174,6 +175,10 @@ def test_size_limits_refuse_before_any_work():
         BaseTable(17, 8)
     with pytest.raises(ValueError, match="55 classes"):
         check_axioms(13, 4)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="500001 classes"):
+        BaseTable(1000003, 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_base_values_are_s3_symmetric():

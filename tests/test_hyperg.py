@@ -123,6 +123,17 @@ def test_gauss_criterion_small(p):
                 assert has_full_solutions(gauss(p, a, b, c)) == _gauss_reference(p, a, b, c)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_full_solutions_match_the_oracle_rank(p):
+    # the rule reads the closed-form rank; this ties it to the elimination
+    multisets = [m for size in range(1, 4) for m in combinations_with_replacement(range(p), size)]
+    for alpha in multisets:
+        for beta in multisets:
+            op = new_operator(p, alpha, beta)
+            want = op.m == op.n - 1 and oracle_rank(op) == op.n
+            assert has_full_solutions(op) == want, (p, alpha, beta)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_closed_form_matches_oracle(data):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,18 @@ def test_xi_size_formula(p):
         assert len(classes) == xi_size(p, n) == math.comb(p, n) // p
         assert len(set(classes)) == len(classes)
         assert all(c.in_xi for c in classes)
+
+
+def test_xi_size_at_a_huge_prime_is_immediate():
+    start = time.perf_counter()
+    assert xi_size(1000003, 2) == 500001
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p,n", [(7, 3), (11, 4)])
+def test_xi_and_hyp_orbits_are_cached(p, n):
+    assert xi(p, n) is xi(p, n)
+    assert radii._hyp_orbits(p, n) is radii._hyp_orbits(p, n)
 
 
 @pytest.mark.parametrize("p,n", [(9, 3), (7, 7), (7, 0), (7, 8)])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -244,6 +245,25 @@ def test_sum_refuses_oversized_input_before_any_work(monkeypatch, p, n, match):
     if p > n * 2:
         with pytest.raises(ValueError, match=match):
             verlinde_count(p, n, 2)
+
+
+@pytest.mark.parametrize("g", [300, 2000])
+def test_sum_refuses_a_large_genus_before_any_work(monkeypatch, g):
+    def no_work(p):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(verlinde, "_scaled_inverse", no_work)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over the limit of"):
+        verlinde_sum(257, 2, g)
+    assert time.perf_counter() - start < 1
+
+
+def test_genus_bound_admits_its_edge():
+    # p (g - 1) = MAX_SUM_P (MAX_SUM_P - 1) at both 257 inputs
+    assert verlinde_sum(257, 1, 257) == 1
+    assert verlinde_sum(257, 2, 257) > 0
+    assert verlinde_sum(5, 2, 400) == FusionEngine(5, 2).count(400, [])
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (11, 3)])
