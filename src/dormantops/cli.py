@@ -68,10 +68,7 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 
 
 def _parse_radii(text: str, p: int) -> list[RadiusClass]:
-    out = []
-    for part in text.split("/"):
-        out.append(canonical(p, _parse_ints(part, "radii")))
-    return out
+    return [canonical(p, _parse_ints(part, "radii")) for part in text.split("/")]
 
 
 def _param_json(x):
@@ -211,10 +208,11 @@ def cmd_count(args) -> int:
         "g": args.g,
         "radii": _triple_json(radii) if radii else [],
         "count": value,
-        "trace": [{"triple": t, "N": v, "rule": src} for t, v, src in rows],
     }
     lines = [f"count = {value}", f"base entries used: {len(rows)}"]
-    if not args.json:
+    if args.json:
+        payload["trace"] = [{"triple": t, "N": v, "rule": src} for t, v, src in rows]
+    else:
         lines += (f"  {' / '.join(','.join(map(str, c)) for c in t)} -> {v}  [{src}]" for t, v, src in rows)
     _emit(args, payload, lines)
     return 0

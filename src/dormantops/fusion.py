@@ -85,8 +85,8 @@ class Cobordism:
 # (k <= 132), while (17, 5), with k = 364, would need 48 million cells.
 MAX_TABLE_CLASSES = 150
 # Largest |Xi_{p,n}| check_axioms runs on: associativity takes k^3 pairs of
-# sparse products, and k = 30, at (11, 4) or (61, 2), takes 0.8-1.0 s on a
-# 2-vCPU Intel Xeon under CPython 3.11.
+# sparse products, and k = 30, at (11, 4) or (61, 2), takes 0.7-1.2 s on a
+# shared 2-vCPU Intel Xeon under CPython 3.11 (five fresh-process runs each).
 MAX_AXIOM_CLASSES = 30
 
 # source tags by cell kind; see the module docstring
@@ -438,7 +438,8 @@ def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomRepo
         return {m: z for m, z in out.items() if z}
 
     witness = None
-    for idx in itertools.product(range(k), repeat=3):
+    # each member of a failing orbit fails, so the first in product order is sorted
+    for idx in itertools.combinations_with_replacement(range(k), 3):
         v = table.at(idx)[0]
         if any(table.at(perm)[0] != v for perm in itertools.permutations(idx)):
             witness = f"{[list(basis[i].elems) for i in idx]} vs permutation"

@@ -6,6 +6,11 @@ translate; it always contains 0.  Classes with distinct entries form the set
 Xi_{p,n}, of size C(p,n)/p, which carries two involutions: entrywise negation
 and the negated complement (the latter lands in Xi_{p,p-n}).
 
+Translating an n-subset by t adds n t to its sum, and gcd(n, p) = 1, so each
+class of Xi_{p,n} has exactly one translate in T, the n-subsets of Z/p with
+sum 0 mod p.  xi lists the lexmin translates of the members of T, walked by
+_zero_sum_subsets, and verlinde_sum walks the same T.
+
 A tuple (alpha, beta) in F_p^n x F_p^{n-1} determines three exponent multisets
 
     e1 = {0, 1-beta_1, ..., 1-beta_{n-1}}
@@ -128,15 +133,20 @@ def _check_xi_args(p: int, n: int) -> None:
         raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
 
 
+def _zero_sum_subsets(p: int, n: int) -> Iterator[tuple[int, ...]]:
+    """T as increasing tuples: each (n-1)-subset R of Z/p plus -sum R mod p, when above max R."""
+    for rest in itertools.combinations(range(p), n - 1):
+        last = -sum(rest) % p
+        if not rest or last > rest[-1]:
+            yield rest + (last,)
+
+
 @lru_cache(maxsize=None)
 def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
-    """All distinct-entry classes of size n, sorted; cardinality C(p,n)/p."""
+    """All distinct-entry classes of size n, sorted: the lexmin translates of T."""
     _check_xi_args(p, n)
-    seen = set()
-    # every canonical representative contains 0
-    for rest in itertools.combinations(range(1, p), n - 1):
-        seen.add(_lexmin_translate(p, (0,) + rest))
-    return tuple(RadiusClass._from_lexmin(p, e) for e in sorted(seen))
+    classes = sorted(_lexmin_translate(p, s) for s in _zero_sum_subsets(p, n))
+    return tuple(RadiusClass._from_lexmin(p, e) for e in classes)
 
 
 def xi_size(p: int, n: int) -> int:

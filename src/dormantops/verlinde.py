@@ -16,14 +16,9 @@ sign (-1)^{n(n-1)} is +1, and each factor inverse scaled by p is integral:
 because (1 - zeta^k) times the right side is p - sum_m zeta^m = p.  So a
 summand is an integer vector divided by a fixed power of p.  The summand
 depends only on the differences within S, so it is constant on translation
-orbits.  Translating S by t adds n t to sum S, and gcd(n, p) = 1, so each
-orbit has p members and exactly one of them lies in
-
-    T = {n-subsets S of Z/p with sum S = 0 mod p};
-
-the sum is p times the sum over T.  T is enumerated as the (n-1)-subsets R of
-Z/p with the element -sum R mod p added, keeping the sorted tuples, that is
-those whose added element exceeds max R; at n = 1, T = {(0,)}.
+orbits.  Each orbit has p members and, as gcd(n, p) = 1, exactly one in
+T = {n-subsets S of Z/p with sum S = 0 mod p}, so the sum is p times the sum
+over T.  T is walked by radii._zero_sum_subsets, as in radii.xi.
 
 The sum over T runs over multiplicative orbits.  For d a unit mod p,
 sigma_d: x -> x^d permutes the monomials of R, so it is a ring automorphism,
@@ -80,7 +75,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .fp import check_odd_prime
-from .radii import xi_size
+from .radii import _zero_sum_subsets, xi_size
 
 __all__ = [
     "MAX_SUM_P",
@@ -207,11 +202,7 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
             w1 = _gr_mul(w1, base, p)
     powers = [one, w1]
     total = [0] * p
-    for rest in combinations(range(p), n - 1):
-        last = -sum(rest) % p
-        if rest and last <= rest[-1]:
-            continue
-        subset = rest + (last,)
+    for subset in _zero_sum_subsets(p, n):
         # the distinct images d * subset, each with its least d; stop at a lesser one
         images = {}
         for d in range(1, p):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dormantops import radii
+from dormantops.hyperg import new_operator, oracle_rank
 from dormantops.radii import (
     RadiusClass,
     _lexmin_translate,
@@ -90,6 +91,13 @@ def test_xi_size_formula(p):
         assert len(classes) == xi_size(p, n) == math.comb(p, n) // p
         assert len(set(classes)) == len(classes)
         assert all(c.in_xi for c in classes)
+        subsets = list(itertools.combinations(range(p), n))
+        assert list(classes) == sorted({canonical(p, s) for s in subsets})
+        # T <-> Xi: each class has exactly one translate with sum 0 mod p
+        for c in classes:
+            assert sum((sum(c.elems) + n * t) % p == 0 for t in range(p)) == 1
+        zero_sum = [s for s in subsets if sum(s) % p == 0]
+        assert list(radii._zero_sum_subsets(p, n)) == zero_sum
 
 
 def test_xi_size_at_a_huge_prime_is_immediate():
@@ -216,6 +224,22 @@ def test_hyp_set_matches_the_chain_by_chain_reference(p):
         for alpha_l, beta_l in interleavings(p, n):
             want.update(itertools.permutations(radii_triple(p, alpha_l, beta_l)))
         assert hyp_set(p, n) == want
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4), (11, 2), (11, 3)])
+def test_hyp_set_is_the_oracle_full_rank_set(p, n):
+    """The rigidity input from below: the operators whose elimination gives rank n.
+
+    Every alpha multiset of size n and beta multiset of size n - 1 is tried,
+    and only oracle_rank decides.  (7, 5), 97,020 operators, holds as well
+    but takes about 4 s, so it stays out of this suite.
+    """
+    want = set()
+    for alpha in itertools.combinations_with_replacement(range(p), n):
+        for beta in itertools.combinations_with_replacement(range(p), n - 1):
+            if oracle_rank(new_operator(p, alpha, beta)) == n:
+                want.update(itertools.permutations(radii_triple(p, alpha, beta)))
+    assert hyp_set(p, n) == want
 
 
 def test_hyp_set_refuses_a_chain_with_a_repeated_entry(monkeypatch):
