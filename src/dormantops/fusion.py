@@ -17,7 +17,10 @@ rule, with the paper's rigidity result as its input:
     outside 0 <= r <= p-n.  The H_r commute, so the determinant is expanded
     along its first row with a memo of minors.  A first-row minor is not the
     Jacobi-Trudi matrix of a smaller partition, so minors are keyed by
-    (row, remaining columns, lambda tail).
+    (row, remaining columns, lambda tail).  Each row of a minor is one packed
+    integer with a signed w-bit slot per column, so a product with H_r adds one
+    integer per Pieri entry; w comes from a bound on every minor's entries,
+    proved in the _closure docstring.
 
 The source tag of a cell names its witness.  "hyp": some class is
 hypergeometric, and the entry must be 1 exactly when the triple is in
@@ -26,9 +29,12 @@ entry must be 1 exactly when the complement-dual triple is in
 hyp_set(p, p-n).  "jacobi-trudi": neither applies.  The Pieri rows and both
 witnesses read hyp_set as its cached index orbits (radii._hyp_orbits), the
 dual witness through one map from the indices of Xi_{p,p-n} to those of their
-complement duals in Xi_{p,n}.  A negative entry or a disagreeing witness
-raises AssertionError naming the triple and both values; neither side is
-preferred.  Tables stop at MAX_TABLE_CLASSES classes.
+complement duals in Xi_{p,n}.  Each packed row (a, c) is checked whole: its
+slots are nonnegative when adding 2^(w-1) to each keeps every slot's top bit,
+and its witnessed slots must equal a packed row with a 1 where the cell's own
+witness holds.  A failing row is scanned cell by cell, and the first negative
+entry or disagreeing witness raises AssertionError naming the triple and both
+values; neither side is preferred.  Tables stop at MAX_TABLE_CLASSES classes.
 
 On top of the table, a genus-g surface with radii rho_1 <= ... <= rho_r (in
 basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle
@@ -48,11 +54,12 @@ from __future__ import annotations
 
 import copy
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .fp import check_odd_prime
-from .radii import RadiusClass, _hyp_orbits, canonical, comp_dual, is_hyp_type, neg_dual, xi, xi_size
+from .radii import RadiusClass, _hyp_orbits, canonical, comp_dual, neg_dual, xi, xi_size
 
 __all__ = [
     "Cobordism",
@@ -83,6 +90,8 @@ class Cobordism:
 
 # Largest |Xi_{p,n}| a base table is built for: every (p, n) with p <= 13 fits
 # (k <= 132), while (17, 5), with k = 364, would need 48 million cells.
+# BaseTable(13, 6), 2.3 million cells, takes 0.60-0.64 s with xi and hyp_set
+# warm on a shared 2-vCPU Intel Xeon under CPython 3.11 (five fresh processes).
 MAX_TABLE_CLASSES = 150
 # Largest |Xi_{p,n}| check_axioms runs on: associativity takes k^3 pairs of
 # sparse products, and k = 30, at (11, 4) or (61, 2), takes 0.7-1.2 s on a
@@ -94,10 +103,17 @@ _TAGS = ("hyp", "dual:hyp", "jacobi-trudi")
 
 
 def _size(p: int, n: int, limit: int, what: str) -> int:
-    """|Xi_{p,n}| for valid p and n, ValueError when it exceeds limit."""
+    """|Xi_{p,n}| for valid p and n, ValueError when it exceeds limit.
+
+    With m = min(n, p - n) <= (p - 1)/2, |Xi_{p,n}| = C(p-1, m-1)/m >= C(2m, m-1)/m
+    >= m.  So a limit below m is exceeded without computing C(p, m), and
+    otherwise C(p, m) has at most limit log2(p) bits.
+    """
     check_odd_prime(p)
     if not 1 < n < p:
         raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    if limit < min(n, p - n):
+        raise ValueError(f"Xi_{{{p},{n}}} has more than {limit} classes, the limit for {what}")
     k = xi_size(p, n)
     if k > limit:
         raise ValueError(f"Xi_{{{p},{n}}} has {k} classes, over the limit of {limit} for {what}")
@@ -110,12 +126,15 @@ def _permutations(orbits) -> Iterator[tuple[int, ...]]:
         yield from dict.fromkeys(itertools.permutations(t))
 
 
-def _pieri_rows(basis, index, dual, orbits) -> list[dict[int, list[int]]]:
+def _hyp_classes(p: int, n: int) -> list[RadiusClass]:
+    """h_r = [0, ..., n-2, n-1+r] for r = 0, ..., p-n: the classes of Xi_{p,n}
+    that is_hyp_type accepts."""
+    return [canonical(p, (*range(n - 1), n - 1 + r)) for r in range(p - n + 1)]
+
+
+def _pieri_rows(h: Sequence[int], dual, orbits) -> list[dict[int, list[int]]]:
     """H_r for r = 0, ..., p-n as rows {c: [b, ...]}: H_r[c][b] = 1 when the index
-    triple (h_r, b, neg_dual c) is a permutation of one of orbits, h_r the class
-    of [0, ..., n-2, n-1+r]."""
-    p, n = basis[0].p, basis[0].n
-    h = [index[canonical(p, (*range(n - 1), n - 1 + r))] for r in range(p - n + 1)]
+    triple (h[r], b, neg_dual c) is a permutation of one of orbits."""
     rows: dict[int, dict[int, list[int]]] = {i: {} for i in h}
     for i, b, l in _permutations(orbits):
         if i in rows:
@@ -123,17 +142,50 @@ def _pieri_rows(basis, index, dual, orbits) -> list[dict[int, list[int]]]:
     return [rows[i] for i in h]
 
 
-def _closure(basis, pieri) -> Iterator[dict[int, dict[int, int]]]:
-    """Yield M_lambda for each class in basis order, as sparse rows {c: {b: value}}.
+def _partition(c: RadiusClass) -> tuple[int, ...]:
+    """The nonzero parts of the partition of c, largest first."""
+    s, n = c.elems, c.n
+    return tuple(part for i in range(n) if (part := s[n - 1 - i] - (n - 1 - i)))
+
+
+def _minor_bound(basis, pieri) -> int:
+    """A bound on |entry| of every minor _closure builds; see its docstring."""
+    norm = [max(map(len, rows.values()), default=0) for rows in pieri]
+    bound = 1
+    for c in basis:
+        lam, prod = _partition(c), 1
+        for i in reversed(range(len(lam))):
+            prod *= sum(norm[r] for j in range(len(lam)) if 0 <= (r := lam[i] - i + j) < len(norm))
+            bound = max(bound, prod)
+    return bound
+
+
+def _closure(basis, pieri, w: int) -> Iterator[list[int]]:
+    """Yield M_lambda for each class in basis order as packed rows: row c is the
+    integer sum_b M_lambda[c][b] 2^(w b), one signed w-bit slot per column b.
+
+    A product H_r S is then, for each c, the sum of the packed rows S[x] over x
+    in pieri[r][c], so the expansion adds one integer per Pieri entry.  The sum
+    is exact whatever the slots hold; a row decodes slot by slot when every
+    entry lies in [-2^(w-1), 2^(w-1)).  The max absolute row sum ||.||, which
+    bounds every entry, is subadditive and submultiplicative, and ||H_r|| is
+    the longest list in pieri[r].  Expanding along the first row, a minor from
+    row i down is sum_t +-H_{lambda_i - i + j_t} S_t with S_t a minor from row
+    i + 1 down, so by induction every minor from row i down has
+    ||.|| <= prod_{i' >= i} sum_j ||H_{lambda_i' - i' + j}||, j over all
+    columns of M_lambda.  _minor_bound is the largest of these products, and
+    BaseTable takes the least w = 8 2^e with the bound below 2^(w-1).  Every admitted table with
+    p <= 59 has a bound of at most 56 bits, so w <= 64; the tables (p, p-2)
+    from p = 61 on take w = 128, which _unpack decodes slot by slot.
 
     lambda from row r on depends only on the first n - r elements of a class; the
     basis is lexicographic, so each row keeps the minors of its latest tail only.
     """
-    n = basis[0].n
-    ident = {x: {x: 1} for x in range(len(basis))}
-    memo: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, dict[int, int]]]]] = {}
+    k = len(basis)
+    ident = [1 << (w * x) for x in range(k)]
+    memo: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], list[int]]]] = {}
 
-    def minor(row: int, cols: tuple[int, ...], tail: tuple[int, ...]) -> dict[int, dict[int, int]]:
+    def minor(row: int, cols: tuple[int, ...], tail: tuple[int, ...]) -> list[int]:
         if not tail:
             return ident
         if row not in memo or memo[row][0] != tail:
@@ -141,26 +193,33 @@ def _closure(basis, pieri) -> Iterator[dict[int, dict[int, int]]]:
         got = memo[row][1].get(cols)
         if got is not None:
             return got
-        out: dict[int, dict[int, int]] = {}
+        out = [0] * k
         for t, j in enumerate(cols):
             r = tail[0] - row + j
             if not 0 <= r < len(pieri):
                 continue
             sub = minor(row + 1, cols[:t] + cols[t + 1:], tail[1:])
-            sign = -1 if t % 2 else 1
             for c, xs in pieri[r].items():
-                acc = out.setdefault(c, {})
-                for x in xs:
-                    for b, v in sub.get(x, {}).items():
-                        acc[b] = acc.get(b, 0) + sign * v
-        out = memo[row][1][cols] = {c: nz for c, acc in out.items() if (nz := {b: v for b, v in acc.items() if v})}
+                if t % 2:
+                    out[c] -= sum(map(sub.__getitem__, xs))
+                else:
+                    out[c] += sum(map(sub.__getitem__, xs))
+        memo[row][1][cols] = out
         return out
 
     for c in basis:
-        s = c.elems
-        lam = tuple(part for i in range(n) if (part := s[n - 1 - i] - (n - 1 - i)))
+        lam = _partition(c)
         yield minor(0, tuple(range(len(lam))), lam)
     memo.clear()  # minor refers to itself, so without this the memo waits for the cycle collector
+
+
+def _unpack(row: int, w: int, k: int) -> Sequence[int]:
+    """The k slots of a packed row whose slots all lie in [0, 2^w)."""
+    data = row.to_bytes(k * w // 8, "little")
+    if w <= 64 and sys.byteorder == "little":
+        return memoryview(data).cast("BHIQ"[(w // 8).bit_length() - 1])
+    step = w // 8
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
 
 
 class BaseTable:
@@ -182,29 +241,61 @@ class BaseTable:
         self.dual_perm = dual = tuple(index[neg_dual(c)] for c in basis)
         self.unit = index[canonical(p, range(n))]
         orbits = _hyp_orbits(p, n)
-        # 0: a hypergeometric class, 1: one on the complement-dual side, 2: neither
-        kinds = [0 if is_hyp_type(c) else 1 if is_hyp_type(comp_dual(c)) else 2 for c in basis]
-        witness = [set(map(self._slot, _permutations(orbits))), set()]
+        h = [index[c] for c in _hyp_classes(p, n)]
+        pieri = _pieri_rows(h, dual, orbits)
+        bound, w = _minor_bound(basis, pieri), 8
+        while bound >> (w - 1):
+            w *= 2
+        # 0: a hypergeometric class, 1: one on the complement-dual side, 2: neither;
+        # the kind of a cell is the least kind of its three classes
+        kinds = [2] * k
+        for c in _hyp_classes(p, p - n):
+            kinds[index[comp_dual(c)]] = 1
+        for i in h:
+            kinds[i] = 0
+        witnesses = [orbits]
         if 1 in kinds:
             # index in Xi_{p,p-n} -> index of its complement dual in basis
             comp = [index[comp_dual(c)] for c in xi(p, p - n)]
-            dual_orbits = (tuple(comp[i] for i in t) for t in _hyp_orbits(p, p - n))
-            witness[1] = set(map(self._slot, _permutations(dual_orbits)))
-        # capped[f][b] = min(f, kinds[b]), the kind of a cell whose other two classes give f
-        capped = [[min(f, x) for x in kinds] for f in range(3)]
-        shared: dict[tuple[int, str], tuple[int, str]] = {}
+            witnesses.append([tuple(comp[i] for i in t) for t in _hyp_orbits(p, p - n)])
+        # expect[a k + c]: a 1 in slot b for each (a, b, c) its own kind's witness holds
+        expect: dict[int, int] = {}
+        for kind, witness in enumerate(witnesses):
+            for a, b, c in _permutations(t for t in witness if min(map(kinds.__getitem__, t)) == kind):
+                expect[a * k + c] = expect.get(a * k + c, 0) | 1 << (w * b)
+        # row (a, c) has cells of kind min(f, kinds[b]), f = min(kinds[a], kinds[c]);
+        # witnessed[f] covers its slots of kind 0 or 1
+        witnessed = [sum(((1 << w) - 1) << (w * b) for b, x in enumerate(kinds) if min(f, x) < 2) for f in range(3)]
+        bias = sum(1 << (w * b + w - 1) for b in range(k))  # the top bit of every slot
+        # cells[f][b] maps a value to the interned cell of slot b in such a row
+        interned: list[dict[int, tuple[int, str]]] = [{}, {}, {}]
+        cells = [[interned[min(f, x)] for x in kinds] for f in range(3)]
         self._cells: list[tuple[int, str]] = [None] * k**3  # type: ignore[list-item]
-        for a, rows in enumerate(_closure(basis, _pieri_rows(basis, index, dual, orbits))):
+        for a, rows in enumerate(_closure(basis, pieri, w)):
             for c, d in enumerate(dual):
-                row, cap = rows.get(d, {}), capped[min(kinds[a], kinds[c])]
-                for b in range(k):
-                    v, i, kind = row.get(b, 0), (a * k + b) * k + c, cap[b]
-                    if v < 0 or kind < 2 and v != (i in witness[kind]):
-                        triple = ", ".join(str(list(basis[x].elems)) for x in (a, b, c))
-                        other = "a negative count" if kind == 2 else f"{_TAGS[kind]} gives {int(i in witness[kind])}"
-                        raise AssertionError(f"p={p}, n={n}, triple ({triple}): Jacobi-Trudi gives {v}, {other}")
-                    cell = (v, _TAGS[kind])
-                    self._cells[i] = shared.setdefault(cell, cell)
+                row, f, want = rows[d], min(kinds[a], kinds[c]), expect.get(a * k + c, 0)
+                if (row + bias) & bias != bias or row & witnessed[f] != want:
+                    self._refuse(a, c, row + bias, want, [min(f, x) for x in kinds], w)
+                values = _unpack(row, w, k)
+                got = list(map(dict.get, cells[f], values))
+                if None in got:
+                    for v, x in zip(values, kinds):
+                        interned[min(f, x)].setdefault(v, (v, _TAGS[min(f, x)]))
+                    got = list(map(dict.get, cells[f], values))
+                self._cells[a * k * k + c:(a + 1) * k * k:k] = got
+
+    def _refuse(self, a: int, c: int, biased: int, want: int, kinds: list[int], w: int) -> None:
+        """Raise for the first cell (a, b, c), in b order, that is negative or
+        disagrees with its witness: slot b of biased holds the value plus
+        2^(w-1), slot b of want the witness, and kinds[b] the cell's kind."""
+        half = 1 << (w - 1)
+        for b, kind in enumerate(kinds):
+            v = (biased >> (w * b) & (2 * half - 1)) - half
+            given = want >> (w * b) & 1
+            if v < 0 or kind < 2 and v != given:
+                triple = ", ".join(str(list(self.basis[x].elems)) for x in (a, b, c))
+                other = "a negative count" if kind == 2 else f"{_TAGS[kind]} gives {given}"
+                raise AssertionError(f"p={self.p}, n={self.n}, triple ({triple}): Jacobi-Trudi gives {v}, {other}")
 
     def _slot(self, idx: Sequence[int]) -> int:
         k = len(self.basis)

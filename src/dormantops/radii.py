@@ -79,6 +79,11 @@ class RadiusClass:
             raise ValueError(f"class size must satisfy 1 <= n < p, got n={n}, p={self.p}")
         if any(not isinstance(e, int) or not 0 <= e < self.p for e in self.elems):
             raise ValueError(f"entries out of range for p={self.p}: {self.elems}")
+        # the hash the dataclass would compute on every call, computed once
+        object.__setattr__(self, "_hash", hash((self.p, self.elems)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def _from_lexmin(cls, p: int, elems: tuple[int, ...]) -> "RadiusClass":

@@ -172,6 +172,15 @@ def test_count_refuses_a_table_too_large_at_once(capsys):
     assert err.startswith("error:") and "1430 classes" in err
 
 
+@pytest.mark.parametrize("argv", [("count", "--g", "2"), ("axioms",)])
+def test_a_basis_far_past_the_limit_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--p", "1000003", "--n", "500001", *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error:") and "has more than" in err
+
+
 def test_count_at_genus_400_matches_the_closed_form(capsys):
     code, data, _ = run_json(capsys, "count", "--p", "5", "--n", "2", "--g", "400")
     assert code == 0

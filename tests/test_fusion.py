@@ -151,22 +151,126 @@ def test_dual_witness_refuses_a_disagreement(monkeypatch):
     assert "Jacobi-Trudi gives 1, dual:hyp gives 0" in str(err.value)
 
 
+def test_a_cell_reads_only_the_witness_of_its_kind(monkeypatch):
+    table = BaseTable(7, 5)
+    h, u = 0, table.basis.index(U3)
+    assert is_hyp_type(table.basis[h]) and table.source((U3, U3, U3)) == "dual:hyp"
+    assert table.at((h, h, u)) == (0, "hyp")
+    # make the dual witness hold at the hyp cell (h, h, u); only hyp is read there
+    extra = tuple(sorted(xi(7, 2).index(comp_dual(table.basis[i])) for i in (h, h, u)))
+    real = fusion._hyp_orbits
+    assert extra not in real(7, 2)
+    monkeypatch.setattr(fusion, "_hyp_orbits", lambda p, n: tuple(sorted(real(p, n) + (extra,))) if n == 2 else real(p, n))
+    assert BaseTable(7, 5).at((h, h, u)) == (0, "hyp")
+
+
 def test_hyp_witness_refuses_a_disagreement(monkeypatch):
     real = fusion._closure
 
-    def dropped(basis, pieri):
-        # the unit comes first and its rows are the identity {x: {x: 1}}; drop
-        # one entry, on a copy, since _closure shares the identity rows
-        for a, rows in enumerate(real(basis, pieri)):
+    def dropped(basis, pieri, w):
+        # the unit comes first and its rows are the identity, row x = 2^(w x);
+        # drop slot 0 of row 0, on a copy, since _closure shares the identity rows
+        for a, rows in enumerate(real(basis, pieri, w)):
             if a == 0:
-                rows = {c: dict(row) for c, row in rows.items()}
-                del rows[0][0]
+                rows = list(rows)
+                rows[0] -= 1
             yield rows
 
     monkeypatch.setattr(fusion, "_closure", dropped)
     with pytest.raises(AssertionError) as err:
         BaseTable(7, 3)
     assert "Jacobi-Trudi gives 0, hyp gives 1" in str(err.value)
+
+
+def test_a_negative_slot_is_refused_at_its_first_triple(monkeypatch):
+    table = BaseTable(11, 3)
+    basis, dual, k = table.basis, table.dual_perm, len(table.basis)
+    cube = itertools.product(range(k), repeat=3)
+    order = sorted((a, c, b) for a, b, c in cube if table.source((basis[a], basis[b], basis[c])) == "jacobi-trudi")
+    # two slots of one row and one of the last row go to -1; the build reads
+    # rows (a, c) in order and each row in b order, so the first is named
+    targets = [order[len(order) // 2], order[len(order) // 2 + 1], order[-1]]
+    real = fusion._closure
+
+    def negated(basis, pieri, w):
+        for a, rows in enumerate(real(basis, pieri, w)):
+            rows = list(rows)
+            for t, c, b in targets:
+                if t == a:
+                    rows[dual[c]] -= (table.at((a, b, c))[0] + 1) << (w * b)
+            yield rows
+
+    monkeypatch.setattr(fusion, "_closure", negated)
+    with pytest.raises(AssertionError) as err:
+        BaseTable(11, 3)
+    a, c, b = targets[0]
+    triple = ", ".join(str(list(basis[x].elems)) for x in (a, b, c))
+    assert str(err.value) == f"p=11, n=3, triple ({triple}): Jacobi-Trudi gives -1, a negative count"
+
+
+def _pieri(p, n):
+    """The basis of Xi_{p,n}, its negation dual and the table's Pieri rows."""
+    basis = xi(p, n)
+    index = {c: i for i, c in enumerate(basis)}
+    dual = tuple(index[neg_dual(c)] for c in basis)
+    h = [index[c] for c in fusion._hyp_classes(p, n)]
+    return basis, dual, fusion._pieri_rows(h, dual, fusion._hyp_orbits(p, n))
+
+
+def _dict_closure(basis, pieri, seen):
+    """M_lambda for each class as sparse rows {c: {b: value}}, one dict update
+    per entry, as the closure was built before its rows were packed.  Every
+    minor it builds is appended to seen."""
+    n = basis[0].n
+    ident = {x: {x: 1} for x in range(len(basis))}
+    memo = {}
+
+    def minor(row, cols, tail):
+        if not tail:
+            return ident
+        if row not in memo or memo[row][0] != tail:
+            memo[row] = (tail, {})
+        got = memo[row][1].get(cols)
+        if got is not None:
+            return got
+        out = {}
+        for t, j in enumerate(cols):
+            r = tail[0] - row + j
+            if not 0 <= r < len(pieri):
+                continue
+            sub = minor(row + 1, cols[:t] + cols[t + 1:], tail[1:])
+            sign = -1 if t % 2 else 1
+            for c, xs in pieri[r].items():
+                acc = out.setdefault(c, {})
+                for x in xs:
+                    for b, v in sub.get(x, {}).items():
+                        acc[b] = acc.get(b, 0) + sign * v
+        out = memo[row][1][cols] = {c: nz for c, acc in out.items() if (nz := {b: v for b, v in acc.items() if v})}
+        seen.append(out)
+        return out
+
+    for c in basis:
+        s = c.elems
+        lam = tuple(part for i in range(n) if (part := s[n - 1 - i] - (n - 1 - i)))
+        yield minor(0, tuple(range(len(lam))), lam)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11) for n in range(2, p)] + [
+    (13, 2), (13, 3), (13, 4), (13, 9), (13, 10), (13, 11), (67, 65),
+])
+def test_packed_closure_matches_the_dict_closure(p, n):
+    basis, dual, pieri = _pieri(p, n)
+    table, k, seen = BaseTable(p, n), len(basis), []
+    kinds = [0 if is_hyp_type(c) else 1 if is_hyp_type(comp_dual(c)) else 2 for c in basis]
+    tags = ("hyp", "dual:hyp", "jacobi-trudi")
+    for a, rows in enumerate(_dict_closure(basis, pieri, seen)):
+        for c, d in enumerate(dual):
+            want = [(rows.get(d, {}).get(b, 0), tags[min(kinds[a], kinds[b], kinds[c])]) for b in range(k)]
+            assert [table.at((a, b, c)) for b in range(k)] == want, (a, c)
+    bound = fusion._minor_bound(basis, pieri)
+    assert max((abs(v) for m in seen for row in m.values() for v in row.values()), default=0) <= bound
+    # only (67, 65) needs slots wider than 64 bits
+    assert (bound >> 63 > 0) == (p == 67)
 
 
 def test_size_limits_refuse_before_any_work():
@@ -179,6 +283,17 @@ def test_size_limits_refuse_before_any_work():
     with pytest.raises(ValueError, match="500001 classes"):
         BaseTable(1000003, 2)
     assert time.perf_counter() - start < 1
+
+
+def test_a_basis_past_its_limit_is_refused_without_its_size():
+    for call in (BaseTable, check_axioms):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"Xi_\{1000003,500001\} has more than"):
+            call(1000003, 500001)
+        assert time.perf_counter() - start < 1
+    # the refusal rests on |Xi_{p,n}| >= min(n, p - n)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        assert all(xi_size(p, n) >= min(n, p - n) for n in range(1, p))
 
 
 def test_base_values_are_s3_symmetric():

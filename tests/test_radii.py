@@ -84,6 +84,13 @@ def test_json_round_trip():
     assert RadiusClass.from_json(c.to_json()) == c
 
 
+def test_equal_classes_hash_equal_whichever_constructor_built_them():
+    for c in xi(7, 3):
+        built = [RadiusClass(7, c.elems), canonical(7, [(e + 3) % 7 for e in c.elems]), c]
+        assert len(set(built)) == 1
+        assert {hash(b) for b in built} == {hash((c.p, c.elems))}
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_xi_size_formula(p):
     for n in range(1, p):
