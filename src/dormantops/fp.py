@@ -8,7 +8,6 @@ and never cancel against field elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -65,17 +64,57 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FpElem:
+class _Record:
+    """Equality and repr over the fields named in __match_args__.
+
+    A record equals only an instance of its own class with equal fields, and
+    reads as Name(field=value, ...).  Records are unhashable.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record that hashes its field tuple and refuses assignment and deletion.
+
+    Constructors set the fields past __setattr__: with object.__setattr__, or
+    straight into the instance dict.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FpElem(_Frozen):
     """A residue value in {0, ..., p-1} for an odd prime p."""
 
-    value: int
-    p: int
+    __match_args__ = ("value", "p")
 
-    def __post_init__(self) -> None:
-        check_odd_prime(self.p)
-        if not isinstance(self.value, int) or not 0 <= self.value < self.p:
-            raise ValueError(f"residue {self.value!r} out of range for p={self.p}")
+    def __init__(self, value: int, p: int) -> None:
+        check_odd_prime(p)
+        if not isinstance(value, int) or not 0 <= value < p:
+            raise ValueError(f"residue {value!r} out of range for p={p}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def reduce(cls, n: int, p: int) -> "FpElem":
@@ -87,15 +126,15 @@ class FpElem:
         return self.value if self.value != 0 else self.p
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(_Frozen):
     """Opaque scalar outside the prime field, identified by its token name."""
 
-    name: str
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str) -> None:
+        if not isinstance(name, str) or not name:
             raise ValueError("Generic token needs a nonempty name")
+        object.__setattr__(self, "name", name)
 
 
 Parameter = Union[FpElem, Generic]

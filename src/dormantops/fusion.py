@@ -55,10 +55,9 @@ from __future__ import annotations
 import copy
 import itertools
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .fp import check_odd_prime
+from .fp import _Frozen, _Record, check_odd_prime
 from .radii import RadiusClass, _hyp_orbits, canonical, comp_dual, neg_dual, xi, xi_size
 
 __all__ = [
@@ -75,17 +74,17 @@ __all__ = [
 Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
 
 
-@dataclass(frozen=True)
-class Cobordism:
+class Cobordism(_Frozen):
     """A connected surface of the given genus with r input and s output circles."""
 
-    genus: int
-    n_in: int
-    n_out: int
+    __match_args__ = ("genus", "n_in", "n_out")
 
-    def __post_init__(self) -> None:
-        if min(self.genus, self.n_in, self.n_out) < 0:
+    def __init__(self, genus: int, n_in: int, n_out: int) -> None:
+        if min(genus, n_in, n_out) < 0:
             raise ValueError("genus and boundary counts must be nonnegative")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "n_out", n_out)
 
 
 # Largest |Xi_{p,n}| a base table is built for: every (p, n) with p <= 13 fits
@@ -467,18 +466,26 @@ def evaluate(p: int, n: int, cob: Cobordism, tensor: Mapping) -> dict:
     return FusionEngine(p, n).evaluate(cob, tensor)
 
 
-@dataclass
-class AxiomResult:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
+class AxiomResult(_Record):
+    """One checked axiom; witness describes a failure."""
+
+    __match_args__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
 
-@dataclass
-class AxiomReport:
-    p: int
-    n: int
-    results: list[AxiomResult] = field(default_factory=list)
+class AxiomReport(_Record):
+    """The results of check_axioms at (p, n); each report starts its own list."""
+
+    __match_args__ = ("p", "n", "results")
+
+    def __init__(self, p: int, n: int, results: Optional[list[AxiomResult]] = None) -> None:
+        self.p = p
+        self.n = n
+        self.results = [] if results is None else results
 
     @property
     def passed(self) -> bool:

@@ -25,11 +25,10 @@ p^2, so it refuses p above MAX_ORACLE_P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .fp import FpElem, Generic, Parameter, check_odd_prime, sort_params
+from .fp import FpElem, Generic, Parameter, _Frozen, check_odd_prime, sort_params
 
 __all__ = [
     "MAX_ORACLE_P",
@@ -85,11 +84,18 @@ def _normalize(params: Iterable[object], p: int) -> tuple[Parameter, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HGOperator:
-    p: int
-    alpha: tuple[Parameter, ...]
-    beta: tuple[Parameter, ...]
+class HGOperator(_Frozen):
+    """The operator with parameters alpha, beta over F_p, built by new_operator."""
+
+    __match_args__ = ("p", "alpha", "beta")
+
+    def __init__(self, p: int, alpha: tuple[Parameter, ...], beta: tuple[Parameter, ...]) -> None:
+        # straight into the instance dict, which the cached properties below
+        # create anyway; an object.__setattr__ per field costs twice as long
+        d = self.__dict__
+        d["p"] = p
+        d["alpha"] = alpha
+        d["beta"] = beta
 
     @property
     def n(self) -> int:
@@ -125,8 +131,8 @@ class HGOperator:
     def _row_echelon(self) -> tuple[list[dict[int, int]], list[int]]:
         """(rows, pivots) of matrix(self) in row echelon form, eliminated once.
 
-        Stored in the instance dict, outside the dataclass fields, so equality
-        and hashing are unchanged.  Callers must not mutate the rows.  Raises
+        Stored in the instance dict but not among the fields, so equality and
+        hashing are unchanged.  Callers must not mutate the rows.  Raises
         ValueError for p above MAX_ORACLE_P, before any work.
         """
         if self.p > MAX_ORACLE_P:

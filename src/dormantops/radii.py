@@ -32,13 +32,12 @@ the triples as sorted index triples into xi(p, n), one per S3 orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .fp import check_odd_prime
+from .fp import _Frozen, check_odd_prime
 
 __all__ = [
     "RadiusClass",
@@ -55,8 +54,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class RadiusClass:
+@total_ordering
+class RadiusClass(_Frozen):
     """Canonical form of a residue multiset modulo simultaneous translation.
 
     elems is weakly increasing, starts at 0, and is the lexicographically least
@@ -64,26 +63,33 @@ class RadiusClass:
     distinct-entry classes.
     """
 
-    p: int
-    elems: tuple[int, ...]
+    __match_args__ = ("p", "elems")
 
-    def __post_init__(self) -> None:
-        self._check_shape()
-        if self.elems != _lexmin_translate(self.p, self.elems):
-            raise ValueError(f"{self.elems} is not the canonical translate")
+    def __init__(self, p: int, elems: tuple[int, ...]) -> None:
+        self._set_fields(p, elems)
+        if elems != _lexmin_translate(p, elems):
+            raise ValueError(f"{elems} is not the canonical translate")
 
-    def _check_shape(self) -> None:
-        check_odd_prime(self.p)
-        n = len(self.elems)
-        if not 1 <= n < self.p:
-            raise ValueError(f"class size must satisfy 1 <= n < p, got n={n}, p={self.p}")
-        if any(not isinstance(e, int) or not 0 <= e < self.p for e in self.elems):
-            raise ValueError(f"entries out of range for p={self.p}: {self.elems}")
-        # the hash the dataclass would compute on every call, computed once
-        object.__setattr__(self, "_hash", hash((self.p, self.elems)))
+    def _set_fields(self, p: int, elems: tuple[int, ...]) -> None:
+        """Check the shape of (p, elems), then set the fields and the hash."""
+        check_odd_prime(p)
+        n = len(elems)
+        if not 1 <= n < p:
+            raise ValueError(f"class size must satisfy 1 <= n < p, got n={n}, p={p}")
+        if any(not isinstance(e, int) or not 0 <= e < p for e in elems):
+            raise ValueError(f"entries out of range for p={p}: {elems}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "elems", elems)
+        # the hash of the field tuple, computed here once, not on every call
+        object.__setattr__(self, "_hash", hash((p, elems)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.p, self.elems) < (other.p, other.elems)
+        return NotImplemented
 
     @classmethod
     def _from_lexmin(cls, p: int, elems: tuple[int, ...]) -> "RadiusClass":
@@ -92,9 +98,7 @@ class RadiusClass:
         Runs every check of the constructor but the lexmin one.
         """
         c = object.__new__(cls)
-        object.__setattr__(c, "p", p)
-        object.__setattr__(c, "elems", elems)
-        c._check_shape()
+        c._set_fields(p, elems)
         return c
 
     @property

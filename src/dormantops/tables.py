@@ -7,9 +7,7 @@ entries {"triple", "N"}).
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from importlib import resources
 
 from .radii import RadiusClass, canonical
 
@@ -24,7 +22,14 @@ Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
 
 @lru_cache(maxsize=None)
 def _records() -> dict[tuple[int, int], dict]:
-    """The parsed records by (p, n), read once; callers must not mutate them."""
+    """The parsed records by (p, n), read once; callers must not mutate them.
+
+    json and importlib.resources are imported here, on first use, since most
+    commands never read the tables and every command pays for its imports.
+    """
+    import json
+    from importlib import resources
+
     text = resources.files("dormantops.data").joinpath("published_tables.json").read_text()
     return {(r["p"], r["n"]): r for r in json.loads(text)["tables"]}
 

@@ -70,12 +70,14 @@ p > n * max(g-1, 2) and checks the result is a nonnegative integer.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .fp import check_odd_prime
 from .radii import _zero_sum_subsets, xi_size
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MAX_SUM_P",
@@ -222,6 +224,10 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
             for d in images.values():
                 for i, c in enumerate(term):
                     total[d * i % p] += c
+    # imported on first use, here and in poly_n3_g2: fractions loads decimal,
+    # and only the closed-form sums need them
+    from fractions import Fraction
+
     # p * (sum over T) * p^((n-1)(g-1)-1), with the p^2 scale undone on each
     # of the n(n-1)/2 * (g-1) pair factors
     return Fraction(_gr_rational(total), p ** ((n - 1) ** 2 * e))
@@ -247,5 +253,7 @@ def verlinde_count(p: int, n: int, g: int) -> int:
 
 def poly_n3_g2(p: int) -> Fraction:
     """The degree-8 polynomial giving the rank-3 genus-2 count, evaluated exactly."""
+    from fractions import Fraction
+
     q = Fraction(p)
     return q**8 / 181440 + q**6 / 4320 - 11 * q**4 / 8640 + 47 * q**2 / 45360

@@ -281,6 +281,10 @@ def test_verify_reports_a_published_class_outside_xi(capsys, monkeypatch):
     bad = [row for row in data["checks"] if not row["ok"]]
     assert [row["check"] for row in bad] == ["count-table"]
     assert bad[0]["detail"] == [{"triple": [[0, 0]] * 3, "computed": 0, "published": 1}]
+    code, out, _ = run(capsys, "verify", "--p", "3")
+    assert code == 3
+    assert "n=2 count-table: MISMATCH" in out.splitlines()
+    assert '  [{"computed": 0, "published": 1, "triple": [[0, 0], [0, 0], [0, 0]]}]' in out.splitlines()
 
 
 def test_json_output_is_deterministic(capsys):
