@@ -6,7 +6,8 @@ of comma-separated residues, e.g. ``0,2,4/0,2,4/0,2,4``, and any translate of
 a class is accepted.
 
 Exit codes: 0 success, 1 invalid input or input too large, 3 table or axiom
-mismatch.
+mismatch, or a failed self-check: a witness that disagrees with a computed
+table, or a closed-form sum that fails one of its own checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .fp import FpElem, Generic
 from .fusion import BaseTable, FusionEngine, check_axioms
@@ -26,7 +27,7 @@ from .hyperg import (
     root_basis,
     t_set,
 )
-from .radii import RadiusClass, canonical, exponents, hyp_set, is_hyp_type, radii_triple, xi, xi_size
+from .radii import RadiusClass, _check_pn, canonical, exponents, hyp_set, is_hyp_type, radii_triple, xi, xi_size
 from .tables import published_counts, published_xi
 from .verlinde import poly_n3_g2, verlinde_count, verlinde_sum
 
@@ -142,13 +143,9 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _check_pn(p: int, n: int) -> None:
-    if not 1 < n < p:
-        raise UsageError(f"need 1 < n < p, got n={n}, p={p}")
-
-
 def cmd_xi(args) -> int:
-    _check_pn(args.p, args.n)
+    # the library lists Xi_{p,1} too; the CLI keeps to the ranks of the tables
+    _check_pn(args.p, args.n, least=2)
     classes = xi(args.p, args.n)
     payload = {
         "p": args.p,
@@ -163,7 +160,6 @@ def cmd_xi(args) -> int:
 
 
 def cmd_hyp(args) -> int:
-    _check_pn(args.p, args.n)
     triples = sorted(hyp_set(args.p, args.n), key=lambda t: tuple(c.elems for c in t))
     payload = {
         "p": args.p,
@@ -200,7 +196,6 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _check_pn(args.p, args.n)
     radii = _parse_radii(args.radii, args.p) if args.radii else []
     engine = FusionEngine(args.p, args.n)
     value = engine.count(args.g, radii)
@@ -231,7 +226,6 @@ def cmd_verlinde(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    _check_pn(args.p, args.n)
     report = check_axioms(args.p, args.n)
     lines = []
     for r in report.results:
@@ -374,7 +368,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -386,6 +380,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
+    except (AssertionError, ArithmeticError) as ex:
+        # the self-checks raise exactly these; ZeroDivisionError and the other
+        # subclasses of ArithmeticError are faults and keep their traceback
+        if type(ex) not in (AssertionError, ArithmeticError):
+            raise
+        print(f"error: {ex}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ and never cancel against field elements.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, Union
 
 __all__ = [
     "FpElem",
@@ -137,7 +137,7 @@ class Generic(_Frozen):
         object.__setattr__(self, "name", name)
 
 
-Parameter = Union[FpElem, Generic]
+Parameter = FpElem | Generic
 
 
 def lift(x: FpElem) -> int:

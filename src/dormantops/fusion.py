@@ -55,10 +55,10 @@ from __future__ import annotations
 import copy
 import itertools
 import sys
-from typing import Iterator, Mapping, Optional, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
-from .fp import _Frozen, _Record, check_odd_prime
-from .radii import RadiusClass, _hyp_orbits, canonical, comp_dual, neg_dual, xi, xi_size
+from .fp import _Frozen, _Record
+from .radii import RadiusClass, _check_pn, _hyp_orbits, canonical, comp_dual, neg_dual, xi, xi_size
 
 __all__ = [
     "Cobordism",
@@ -108,9 +108,7 @@ def _size(p: int, n: int, limit: int, what: str) -> int:
     >= m.  So a limit below m is exceeded without computing C(p, m), and
     otherwise C(p, m) has at most limit log2(p) bits.
     """
-    check_odd_prime(p)
-    if not 1 < n < p:
-        raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    _check_pn(p, n, least=2)
     if limit < min(n, p - n):
         raise ValueError(f"Xi_{{{p},{n}}} has more than {limit} classes, the limit for {what}")
     k = xi_size(p, n)
@@ -342,7 +340,7 @@ class BaseTable:
         return clone
 
 
-def _table_for(p: int, n: int, table: Optional[BaseTable]) -> BaseTable:
+def _table_for(p: int, n: int, table: BaseTable | None) -> BaseTable:
     if table is None:
         return BaseTable(p, n)
     if (table.p, table.n) != (p, n):
@@ -358,7 +356,7 @@ class FusionEngine:
     by its ordered triple of basis indices, with the table's (value, source).
     """
 
-    def __init__(self, p: int, n: int, table: Optional[BaseTable] = None):
+    def __init__(self, p: int, n: int, table: BaseTable | None = None):
         self.table = _table_for(p, n, table)
         self.p = p
         self.n = n
@@ -471,7 +469,7 @@ class AxiomResult(_Record):
 
     __match_args__ = ("name", "passed", "witness")
 
-    def __init__(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
+    def __init__(self, name: str, passed: bool, witness: str | None = None) -> None:
         self.name = name
         self.passed = passed
         self.witness = witness
@@ -482,7 +480,7 @@ class AxiomReport(_Record):
 
     __match_args__ = ("p", "n", "results")
 
-    def __init__(self, p: int, n: int, results: Optional[list[AxiomResult]] = None) -> None:
+    def __init__(self, p: int, n: int, results: list[AxiomResult] | None = None) -> None:
         self.p = p
         self.n = n
         self.results = [] if results is None else results
@@ -503,7 +501,7 @@ class AxiomReport(_Record):
         }
 
 
-def check_axioms(p: int, n: int, table: Optional[BaseTable] = None) -> AxiomReport:
+def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
     """Machine check of the Frobenius-algebra axioms; failures become report rows.
 
     The algebra has basis Xi_{p,n}, unit [0, ..., n-1], product

@@ -26,7 +26,7 @@ p^2, so it refuses p above MAX_ORACLE_P.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .fp import FpElem, Generic, Parameter, _Frozen, check_odd_prime, sort_params
 

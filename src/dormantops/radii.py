@@ -6,6 +6,10 @@ translate; it always contains 0.  Classes with distinct entries form the set
 Xi_{p,n}, of size C(p,n)/p, which carries two involutions: entrywise negation
 and the negated complement (the latter lands in Xi_{p,p-n}).
 
+_check_pn is the one rule for a prime and a rank: every entry point indexed by
+(p, n), here and in fusion, verlinde and the CLI, calls it and nothing else,
+with least = 2 where a parameter chain is needed.
+
 Translating an n-subset by t adds n t to its sum, and gcd(n, p) = 1, so each
 class of Xi_{p,n} has exactly one translate in T, the n-subsets of Z/p with
 sum 0 mod p.  xi lists the lexmin translates of the members of T, walked by
@@ -32,10 +36,10 @@ the triples as sorted index triples into xi(p, n), one per S3 orbit.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, total_ordering
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Sequence
 
 from .fp import _Frozen, check_odd_prime
 
@@ -136,10 +140,12 @@ def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
     return RadiusClass._from_lexmin(p, _lexmin_translate(p, es))
 
 
-def _check_xi_args(p: int, n: int) -> None:
+def _check_pn(p: int, n: int, least: int = 1) -> None:
+    """ValueError unless p is an odd prime and least <= n < p; p is checked first."""
     check_odd_prime(p)
-    if not 1 <= n < p:
-        raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
+    if not least <= n < p:
+        lower = "1 <= n" if least == 1 else f"{least - 1} < n"
+        raise ValueError(f"need {lower} < p, got n={n}, p={p}")
 
 
 def _zero_sum_subsets(p: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -153,14 +159,14 @@ def _zero_sum_subsets(p: int, n: int) -> Iterator[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
     """All distinct-entry classes of size n, sorted: the lexmin translates of T."""
-    _check_xi_args(p, n)
+    _check_pn(p, n)
     classes = sorted(_lexmin_translate(p, s) for s in _zero_sum_subsets(p, n))
     return tuple(RadiusClass._from_lexmin(p, e) for e in classes)
 
 
 def xi_size(p: int, n: int) -> int:
     """C(p,n)/p, the closed-form cardinality of xi(p, n), with the same checks."""
-    _check_xi_args(p, n)
+    _check_pn(p, n)
     return comb(p, n) // p
 
 
@@ -216,9 +222,7 @@ def interleavings(p: int, n: int):
     chain strictly decreasing in [1, p + n - 1], so the chains are the
     (2n-1)-subsets of that range, taken in descending lexicographic order.
     """
-    check_odd_prime(p)
-    if not 1 < n < p:
-        raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    _check_pn(p, n, least=2)
     weak = [n - 1 - (j + 1) // 2 for j in range(2 * n - 1)]
     for c in itertools.combinations(range(p + n - 1, 0, -1), 2 * n - 1):
         chain = tuple(map(sub, c, weak))
@@ -250,8 +254,7 @@ def _hyp_orbits(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     b_{i+1}, a_n = 1), and e2 at the first chain with its (sum(beta) -
     sum(alpha)) mod p.  A miss (a repeated entry) raises AssertionError.
     """
-    if n < 2:
-        raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    _check_pn(p, n, least=2)
     index = {t: i for i, c in enumerate(xi(p, n)) for t in _zero_translates(p, c.elems)}
     subsets = itertools.combinations(range(p, 1, -1), n - 1)
     e1 = {beta: (_xi_index(p, index, (0, *((1 - b) % p for b in beta))), sum(beta)) for beta in subsets}
@@ -276,7 +279,7 @@ def hyp_set(p: int, n: int) -> frozenset[tuple[RadiusClass, RadiusClass, RadiusC
     each permuted once; the class triples themselves are not cached.  A chain
     with a repeated entry in some component raises AssertionError.
     """
+    # the orbits first, so that their check, not xi's, refuses n
+    orbits = _hyp_orbits(p, n)
     classes = xi(p, n)
-    return frozenset(
-        tuple(classes[i] for i in perm) for t in _hyp_orbits(p, n) for perm in itertools.permutations(t)
-    )
+    return frozenset(tuple(classes[i] for i in perm) for t in orbits for perm in itertools.permutations(t))

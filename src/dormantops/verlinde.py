@@ -70,14 +70,10 @@ p > n * max(g-1, 2) and checks the result is a nonnegative integer.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
 
-from .fp import check_odd_prime
-from .radii import _zero_sum_subsets, xi_size
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .radii import _check_pn, _zero_sum_subsets, xi_size
 
 __all__ = [
     "MAX_SUM_P",
@@ -173,9 +169,7 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
     MAX_SUM_P (MAX_SUM_P - 1), or |T| = |Xi_{p,n}| exceeds MAX_SUM_CLASSES,
     before any work.
     """
-    check_odd_prime(p)
-    if not 1 <= n < p:
-        raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
+    _check_pn(p, n)
     if g < 1:
         raise ValueError(f"need genus >= 1, got {g}")
     if p > MAX_SUM_P:

@@ -265,6 +265,38 @@ def test_verify_mismatch_exits_three(capsys, monkeypatch):
     assert bad[0]["detail"]
 
 
+@pytest.mark.parametrize("argv", [("count", "--p", "7", "--n", "3", "--g", "2"), ("verify", "--p", "7")])
+def test_a_failed_self_check_exits_three(capsys, monkeypatch, argv):
+    real = fusion._closure
+
+    def dropped(basis, pieri, w):
+        # as in test_hyp_witness_refuses_a_disagreement: slot 0 of row 0 goes to 0
+        for a, rows in enumerate(real(basis, pieri, w)):
+            if a == 0:
+                rows = list(rows)
+                rows[0] -= 1
+            yield rows
+
+    monkeypatch.setattr(fusion, "_closure", dropped)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith("error: p=7, n=") and err.count("\n") == 1
+
+
+def test_only_the_plain_arithmetic_error_of_a_self_check_exits_three(capsys, monkeypatch):
+    fault = ArithmeticError("count came out as 1/2, not a nonnegative integer")
+
+    def broken(p, n, g):
+        raise fault
+
+    monkeypatch.setattr(cli, "verlinde_count", broken)
+    argv = ["verlinde", "--p", "7", "--n", "2", "--g", "2"]
+    assert run(capsys, *argv) == (3, "", f"error: {fault}\n")
+    fault = ZeroDivisionError("division by zero")
+    with pytest.raises(ZeroDivisionError):
+        cli.main(argv)
+
+
 def test_verify_reports_a_published_class_outside_xi(capsys, monkeypatch):
     real = cli.published_counts
     outside = canonical(3, (0, 0))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import time
@@ -5,7 +7,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from dormantops import radii
+from dormantops import cli, radii
+from dormantops.fusion import BaseTable, FusionEngine, check_axioms
 from dormantops.hyperg import new_operator, oracle_rank
 from dormantops.radii import (
     RadiusClass,
@@ -21,6 +24,7 @@ from dormantops.radii import (
     xi,
     xi_size,
 )
+from dormantops.verlinde import verlinde_sum
 
 W = [canonical(7, e) for e in [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 4)]]
 V = [canonical(7, e) for e in [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 3, 4), (0, 1, 3, 5)]]
@@ -340,3 +344,48 @@ def test_lexmin_shortcut_keeps_the_other_checks():
         RadiusClass._from_lexmin(5, (0, 1, 2, 3, 4))
     with pytest.raises(ValueError):
         RadiusClass._from_lexmin(9, (0, 1))
+
+
+# every entry point indexed by (p, n), with the least n it takes
+_ENTRY_POINTS = [
+    ("xi", xi, 1),
+    ("xi_size", xi_size, 1),
+    ("interleavings", lambda p, n: list(interleavings(p, n)), 2),
+    ("hyp_set", hyp_set, 2),
+    ("BaseTable", BaseTable, 2),
+    ("check_axioms", check_axioms, 2),
+    ("FusionEngine", FusionEngine, 2),
+    ("verlinde_sum", lambda p, n: verlinde_sum(p, n, 2), 1),
+    # the CLI subcommands, which all take 1 < n < p
+    ("cli xi", lambda p, n: _cli("xi", p, n), 2),
+    ("cli hyp", lambda p, n: _cli("hyp", p, n), 2),
+    ("cli count", lambda p, n: _cli("count", p, n, "--g", "2"), 2),
+    ("cli axioms", lambda p, n: _cli("axioms", p, n), 2),
+]
+
+
+def _cli(command, p, n, *rest):
+    """Run a subcommand; raise its one error line as a ValueError after exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--p", str(p), "--n", str(n), *rest])
+    assert (code, out.getvalue()) == (1, "")
+    line = err.getvalue()
+    assert line.startswith("error: ") and line.endswith("\n") and line.count("\n") == 1
+    raise ValueError(line[len("error: "):-1])
+
+
+def _refusals():
+    for name, call, least in _ENTRY_POINTS:
+        lower = "need 1 <= n < p" if least == 1 else "need 1 < n < p"
+        bad = [(9, 3), (7, 0), (7, 7), (7, 8)] + [(7, 1)] * (least == 2)
+        for p, n in bad:
+            message = "modulus must be an odd prime, got 9" if p == 9 else f"{lower}, got n={n}, p={p}"
+            yield pytest.param(call, p, n, message, id=f"{name}-{p}-{n}")
+
+
+@pytest.mark.parametrize("call, p, n, message", _refusals())
+def test_every_entry_point_refuses_a_bad_prime_or_rank_alike(call, p, n, message):
+    with pytest.raises(ValueError) as err:
+        call(p, n)
+    assert str(err.value) == message

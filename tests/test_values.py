@@ -192,7 +192,8 @@ def test_the_import_loads_only_what_every_command_needs():
     """A CLI call pays for every module the library imports at start.
 
     The embedded tables, the closed-form sum and --json output import
-    importlib.resources, fractions and json when first used.
+    importlib.resources, fractions and json when first used.  Under -S, site
+    preloads nothing, so a module the library itself imports cannot hide.
     """
     src = Path(dormantops.__file__).resolve().parents[1]
     code = (
@@ -200,8 +201,12 @@ def test_the_import_loads_only_what_every_command_needs():
         "print(*sorted(set(sys.modules) - before))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "dormantops.cli" in loaded
-    assert not {"dataclasses", "inspect", "importlib.resources", "fractions", "decimal", "json"} & loaded
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "dormantops.cli" in loaded
+        forbidden = {"dataclasses", "inspect", "importlib.resources", "fractions", "decimal", "json", "typing"}
+        assert not forbidden & loaded, flags
