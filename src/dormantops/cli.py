@@ -357,7 +357,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--radii", help="slash-separated classes, e.g. 0,2,4/0,2,4/0,2,4")
 
     sp = add("verlinde", cmd_verlinde, "closed-form count on a closed surface")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True, help="rank, 1 <= n < p (count and axioms need n >= 2)")
     sp.add_argument("--g", type=int, required=True, help="genus")
 
     sp = add("axioms", cmd_axioms, "check the fusion-algebra axioms")

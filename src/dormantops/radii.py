@@ -90,6 +90,12 @@ class RadiusClass(_Frozen):
     def __hash__(self) -> int:
         return self._hash
 
+    # both compare (p, elems) directly, not the generic field tuples of _Record
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.p, self.elems) == (other.p, other.elems)
+        return NotImplemented
+
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.p, self.elems) < (other.p, other.elems)

@@ -194,6 +194,17 @@ def test_verlinde_command(capsys):
     assert code == 1 and "validity window" in err
 
 
+def test_verlinde_checks_the_prime_before_the_window(capsys):
+    code, out, err = run(capsys, "verlinde", "--p", "4", "--n", "3", "--g", "2")
+    assert code == 1 and not out
+    assert err == "error: modulus must be an odd prime, got 4\n"
+
+
+def test_verlinde_accepts_rank_one(capsys):
+    code, data, _ = run_json(capsys, "verlinde", "--p", "7", "--n", "1", "--g", "2")
+    assert code == 0 and data["count"] == 1
+
+
 @pytest.mark.parametrize("p,n", [("101", "50"), ("1009", "1")])
 def test_verlinde_refuses_oversized_input_at_once(capsys, p, n):
     start = time.perf_counter()

@@ -1,4 +1,3 @@
-import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -12,12 +11,6 @@ from dormantops.radii import xi_size
 from dormantops.verlinde import (
     MAX_SUM_CLASSES,
     MAX_SUM_P,
-    _gr_mul,
-    _gr_rational,
-    _pack,
-    _scaled_inverse,
-    _sigma,
-    _unpack,
     poly_n3_g2,
     verlinde_count,
     verlinde_sum,
@@ -25,7 +18,7 @@ from dormantops.verlinde import (
 
 
 def _mul(u, v, p):
-    """Schoolbook product in Z[x]/(x^p - 1), the reference for the packed one."""
+    """Schoolbook product in Z[x]/(x^p - 1)."""
     out = [0] * p
     for i, a in enumerate(u):
         for j, b in enumerate(v):
@@ -70,53 +63,10 @@ def _direct_sum(p, n, g):
     return _as_rational(total) / scale * Fraction(p) ** (e - 1)
 
 
-def _vectors(rng, p):
-    """Zero, unit, small signed, and signed entries of more than 200 bits."""
-    yield [0] * p
-    yield _root(p, rng.randrange(p))
-    for bits in (3, 40, 230, 700):
-        yield [rng.randint(-(1 << bits), 1 << bits) for _ in range(p)]
-    sparse = [0] * p
-    sparse[rng.randrange(p)] = -(1 << 250) - 1
-    yield sparse
-
-
-@pytest.mark.parametrize("p", [3, 5, 13, 29])
-def test_packed_product_equals_the_schoolbook_product(p):
-    rng = random.Random(p)
-    vectors = list(_vectors(rng, p))
-    for u in vectors:
-        for v in vectors:
-            assert _gr_mul(u, v, p) == _mul(u, v, p)
-
-
-def test_a_too_narrow_width_is_refused():
-    u = [(1 << 210) + i for i in range(5)]
-    w = 8
-    with pytest.raises(ArithmeticError, match="overflows 9 slots of 8 bits"):
-        _unpack(_pack(u, w) * _pack(u, w), w, 5)
-    w = 2 * 211 + (5).bit_length() + 1
-    assert _unpack(_pack(u, w) * _pack(u, w), w, 5) == _mul(u, u, 5)
-
-
-@pytest.mark.parametrize("p", [q for q in range(3, 30) if is_odd_prime(q)])
-def test_scaled_inverses_multiply_back_to_p(p):
-    # the orbit walk takes p/(1 - zeta^d) as sigma_d of the one vector
-    vec = _scaled_inverse(p)
-    for d in range(1, p):
-        factor = [0] * p
-        factor[0], factor[d] = 1, -1
-        assert _gr_rational(_gr_mul(factor, _sigma(vec, d, p), p)) == p
-
-
-def test_scaled_inverse_literal():
-    # (1 - x)(4 + 3x + 2x^2 + x^3) = 4 - x - x^2 - x^3 - x^4 = 5 - (1 + x + ... + x^4)
-    assert _scaled_inverse(5) == [4, 3, 2, 1, 0]
-
-
-# the last five include orbits with nontrivial stabilizers under S -> d S:
-# {0} with the squares mod 11 at (11, 6) and {0, 1, 3, 9} at (13, 4); both
-# lie in T, so the walk meets them as representatives
+# _direct_sum, in the group ring Z[x]/(x^p - 1) over every n-subset, is the
+# reference for the sum in F_q over T.  The last five include subsets fixed
+# by some S -> d S, d != 1: {0} with the squares mod 11 at (11, 6) and
+# {0, 1, 3, 9} at (13, 4)
 @pytest.mark.parametrize("p,n,g", [
     (3, 2, 2), (5, 2, 2), (5, 3, 2), (7, 2, 3), (7, 3, 2), (7, 4, 3),
     (5, 4, 2), (7, 5, 2), (7, 6, 2), (11, 6, 2), (13, 4, 2),
@@ -208,6 +158,17 @@ def test_validity_window_is_enforced():
         verlinde_count(7, 3, 4)
 
 
+@pytest.mark.parametrize("p,n,g,match", [
+    (4, 3, 2, "modulus must be an odd prime, got 4"),
+    (9, 1, 1, "modulus must be an odd prime, got 9"),
+    (7, 7, 2, "need 1 <= n < p, got n=7, p=7"),
+    (7, 0, 1, "need 1 <= n < p, got n=0, p=7"),
+])
+def test_count_checks_p_and_n_before_the_genus_and_the_window(p, n, g, match):
+    with pytest.raises(ValueError, match=match):
+        verlinde_count(p, n, g)
+
+
 def test_sum_validation():
     with pytest.raises(ValueError):
         verlinde_sum(9, 2, 2)
@@ -226,6 +187,7 @@ def _prime_above(n):
 def test_input_bounds_admit_every_benchmark_and_test_input():
     assert MAX_SUM_P >= 29
     assert xi_size(17, 8) <= MAX_SUM_CLASSES
+    assert xi_size(113, 3) <= MAX_SUM_CLASSES < xi_size(127, 3)
     assert verlinde_sum(MAX_SUM_P, 2, 2).denominator == 1
 
 
@@ -236,10 +198,10 @@ def test_input_bounds_admit_every_benchmark_and_test_input():
     (19, 9, "walks 4862 subsets"),
 ])
 def test_sum_refuses_oversized_input_before_any_work(monkeypatch, p, n, match):
-    def no_work(p):
+    def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(verlinde, "_scaled_inverse", no_work)
+    monkeypatch.setattr(verlinde, "_bound", no_work)
     with pytest.raises(ValueError, match=match):
         verlinde_sum(p, n, 2)
     if p > n * 2:
@@ -249,10 +211,10 @@ def test_sum_refuses_oversized_input_before_any_work(monkeypatch, p, n, match):
 
 @pytest.mark.parametrize("g", [300, 2000])
 def test_sum_refuses_a_large_genus_before_any_work(monkeypatch, g):
-    def no_work(p):
+    def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(verlinde, "_scaled_inverse", no_work)
+    monkeypatch.setattr(verlinde, "_bound", no_work)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="over the limit of"):
         verlinde_sum(257, 2, g)
@@ -278,3 +240,30 @@ def test_rank_three_genus_two_polynomial():
     assert poly_n3_g2(11) == 1573
     assert poly_n3_g2(13) == 5577
     assert verlinde_count(11, 3, 2) == poly_n3_g2(11)
+
+
+# 113 is the last prime with |Xi_{p,3}| <= MAX_SUM_CLASSES
+@pytest.mark.parametrize("p", [q for q in range(5, 114) if is_odd_prime(q)])
+def test_rank_three_genus_two_sum_is_the_polynomial(p):
+    assert verlinde_sum(p, 3, 2) == poly_n3_g2(p)
+
+
+@pytest.mark.parametrize("g,value", [(2, 2383152634054), (3, 4704073327664868003654870)])
+def test_sum_at_17_8(g, value):
+    assert verlinde_sum(17, 8, g) == value
+
+
+@pytest.mark.parametrize("bound,primes", [
+    # one residue prime covers B = 1, and 56 lifts to itself, above B
+    (1, None),
+    # 29 = 1 mod 14 alone covers B = 14, and 56 = -2 mod 29 lifts to -2
+    (14, [29]),
+])
+def test_a_lift_outside_the_proved_range_is_refused(monkeypatch, bound, primes):
+    assert verlinde_sum(7, 3, 2) == 56
+    monkeypatch.setattr(verlinde, "_bound", lambda p, n, g: bound)
+    if primes is not None:
+        monkeypatch.setattr(verlinde, "_primes", lambda p: iter(primes))
+    with pytest.raises(ArithmeticError, match="outside its proved range") as info:
+        verlinde_sum(7, 3, 2)
+    assert type(info.value) is ArithmeticError
