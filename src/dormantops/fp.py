@@ -31,7 +31,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@lru_cache(maxsize=None)
+# bounded: verlinde's residue-prime walk tries many composites near 2^80
+@lru_cache(maxsize=1024)
 def is_odd_prime(p: int) -> bool:
     """Deterministic Miller-Rabin; ValueError for p >= PRIME_TEST_BOUND."""
     if p < 3 or p % 2 == 0:

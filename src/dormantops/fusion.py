@@ -91,6 +91,10 @@ class Cobordism(_Frozen):
 # (k <= 132), while (17, 5), with k = 364, would need 48 million cells.
 # BaseTable(13, 6), 2.3 million cells, takes 0.60-0.64 s with xi and hyp_set
 # warm on a shared 2-vCPU Intel Xeon under CPython 3.11 (five fresh processes).
+# It also admits (p, 2) and (p, p - 2), k = (p - 1)/2, for every prime p <= 293,
+# (p, 3) and (p, p - 3) up to p = 31, and (17, 13), and the (p, p - 2) tables
+# are slow on the same machine: count --p 151 --n 149 --g 2 takes 14 s,
+# --p 211 --n 209 42-49 s, and BaseTable(293, 291) about 157 s.
 MAX_TABLE_CLASSES = 150
 # Largest |Xi_{p,n}| check_axioms runs on: associativity takes k^3 pairs of
 # sparse products, and k = 30, at (11, 4) or (61, 2), takes 0.7-1.2 s on a

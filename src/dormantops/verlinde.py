@@ -104,8 +104,8 @@ def _primes(p: int) -> Iterator[int]:
         q -= 2 * p
 
 
-def verlinde_sum(p: int, n: int, g: int) -> Fraction:
-    """The bare closed-form sum, with no validity window applied.
+def verlinde_sum(p: int, n: int, g: int) -> int:
+    """The bare closed-form sum, an int, with no validity window applied.
 
     ValueError when p exceeds MAX_SUM_P, p (g - 1) exceeds
     MAX_SUM_P (MAX_SUM_P - 1), or |T| = |Xi_{p,n}| exceeds MAX_SUM_CLASSES,
@@ -162,18 +162,14 @@ def verlinde_sum(p: int, n: int, g: int) -> Fraction:
             f"the closed-form sum at p={p}, n={n}, g={g} lifts to a value "
             f"outside its proved range (0, B], B of {bound.bit_length()} bits"
         )
-    # imported on first use, here and in poly_n3_g2: fractions loads decimal,
-    # and only the closed-form sums need them
-    from fractions import Fraction
-
-    return Fraction(value)
+    return value
 
 
 def verlinde_count(p: int, n: int, g: int) -> int:
     """Closed-form count of dormant opers on a closed genus-g surface.
 
     Checks (p, n) first, then the validity window g >= 2 and
-    p > n * max(g-1, 2); the result is checked to be a nonnegative integer.
+    p > n * max(g-1, 2).
     """
     _check_pn(p, n)
     if g < 2:
@@ -182,14 +178,12 @@ def verlinde_count(p: int, n: int, g: int) -> int:
         raise ValueError(
             f"validity window needs p > n*max(g-1,2), got p={p}, n={n}, g={g}"
         )
-    value = verlinde_sum(p, n, g)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"count came out as {value}, not a nonnegative integer")
-    return int(value)
+    return verlinde_sum(p, n, g)
 
 
 def poly_n3_g2(p: int) -> Fraction:
     """The degree-8 polynomial giving the rank-3 genus-2 count, evaluated exactly."""
+    # imported on first use: fractions loads decimal, and only verify needs them
     from fractions import Fraction
 
     q = Fraction(p)

@@ -339,6 +339,17 @@ def test_json_output_is_deterministic(capsys):
     assert json.dumps(data, sort_keys=True) + "\n" == x1
 
 
+@pytest.mark.parametrize("p,inside", [(3, ()), (5, (2,)), (7, (2, 3))])
+def test_verify_names_each_genus_two_row_by_the_validity_window(p, inside):
+    names = {
+        row["n"]: row["check"]
+        for row in cli.run_verify(p)["checks"]
+        if row["check"].startswith("genus-2") and row["check"] != "genus-2 polynomial"
+    }
+    outside = "genus-2 (outside validity window)"
+    assert names == {n: "genus-2" if n in inside else outside for n in range(2, p)}
+
+
 def test_run_verify_report_shape():
     report = cli.run_verify(3)
     assert report["p"] == 3 and report["passed"] is True

@@ -191,7 +191,7 @@ def test_validation_messages(build, message):
 def test_the_import_loads_only_what_every_command_needs():
     """A CLI call pays for every module the library imports at start.
 
-    The embedded tables, the closed-form sum and --json output import
+    The embedded tables, verify's rank-3 polynomial and --json output import
     importlib.resources, fractions and json when first used.  Under -S, site
     preloads nothing, so a module the library itself imports cannot hide.
     """
@@ -210,3 +210,18 @@ def test_the_import_loads_only_what_every_command_needs():
         assert "dormantops.cli" in loaded
         forbidden = {"dataclasses", "inspect", "importlib.resources", "fractions", "decimal", "json", "typing"}
         assert not forbidden & loaded, flags
+
+
+def test_the_closed_form_count_loads_no_fractions():
+    """verlinde_sum returns an int, so a verlinde call never imports fractions."""
+    src = Path(dormantops.__file__).resolve().parents[1]
+    code = (
+        "import sys; from dormantops.cli import main; before = set(sys.modules); "
+        "main(['verlinde', '--p', '17', '--n', '8', '--g', '2']); "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "count = 2383152634054\n"
+    assert "fractions" not in proc.stderr.split()

@@ -71,7 +71,7 @@ def _direct_sum(p, n, g):
     (3, 2, 2), (5, 2, 2), (5, 3, 2), (7, 2, 3), (7, 3, 2), (7, 4, 3),
     (5, 4, 2), (7, 5, 2), (7, 6, 2), (11, 6, 2), (13, 4, 2),
 ])
-def test_group_ring_path_matches_direct_evaluation(p, n, g):
+def test_fq_sum_matches_the_group_ring_reference(p, n, g):
     assert verlinde_sum(p, n, g) == _direct_sum(p, n, g)
 
 
@@ -251,6 +251,21 @@ def test_rank_three_genus_two_sum_is_the_polynomial(p):
 @pytest.mark.parametrize("g,value", [(2, 2383152634054), (3, 4704073327664868003654870)])
 def test_sum_at_17_8(g, value):
     assert verlinde_sum(17, 8, g) == value
+
+
+@pytest.mark.parametrize("p,n,g", [(7, 3, 2), (17, 8, 3), (257, 1, 257), (5, 2, 400), (11, 3, 1)])
+def test_sum_returns_an_int(p, n, g):
+    assert type(verlinde_sum(p, n, g)) is int
+
+
+def test_count_returns_an_int():
+    assert type(verlinde_count(11, 3, 2)) is int
+
+
+def test_the_residue_prime_walk_leaves_the_prime_cache_bounded():
+    verlinde_sum(257, 2, 257)
+    info = is_odd_prime.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("bound,primes", [
