@@ -1,7 +1,7 @@
 """Exact kernel ranks of prime-field hypergeometric operators and the
 fusion-rule counts of dormant opers."""
 
-from .fp import FpElem, Generic, lift, sort_params
+from .fp import Generic
 from .hyperg import (
     GenericParameterError,
     HGOperator,

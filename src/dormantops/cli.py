@@ -16,7 +16,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .fp import FpElem, Generic
+from .fp import Generic
 from .fusion import BaseTable, FusionEngine, check_axioms
 from .hyperg import (
     MAX_ORACLE_P,
@@ -27,7 +27,7 @@ from .hyperg import (
     t_set,
 )
 from .radii import RadiusClass, _check_pn, canonical, exponents, hyp_set, is_hyp_type, radii_triple, xi, xi_size
-from .tables import published_counts, published_xi
+from .tables import published_counts, published_pairs, published_xi
 from .verlinde import poly_n3_g2, verlinde_count, verlinde_sum
 
 __all__ = ["main", "run_verify"]
@@ -70,7 +70,7 @@ def _parse_radii(text: str, p: int) -> list[RadiusClass]:
 
 
 def _param_json(x):
-    return x.value if isinstance(x, FpElem) else "generic"
+    return "generic" if isinstance(x, Generic) else x
 
 
 def _class_str(c: RadiusClass) -> str:
@@ -236,10 +236,16 @@ def cmd_axioms(args) -> int:
 
 
 def run_verify(p: int) -> dict:
-    """Regenerate every listing and table for 1 < n < p against embedded data.
+    """Regenerate every listing and table the embedded data holds for p.
 
     Returns a deterministic report dict; report["passed"] is the overall flag.
+    Raises ValueError for a p the embedded data does not cover.
     """
+    pairs = published_pairs()
+    ranks = [n for q, n in pairs if q == p]
+    if not ranks:
+        primes = ", ".join(str(q) for q in sorted({q for q, _ in pairs}))
+        raise ValueError(f"verify covers p in {{{primes}}}, got {p}")
     checks = []
 
     def record(n, name, ok, detail=None):
@@ -248,7 +254,7 @@ def run_verify(p: int) -> dict:
             row["detail"] = detail
         checks.append(row)
 
-    for n in range(2, p):
+    for n in ranks:
         got_xi = xi(p, n)
         want_xi = published_xi(p, n)
         record(
@@ -301,8 +307,6 @@ def run_verify(p: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.p not in (3, 5, 7):
-        raise UsageError(f"verify covers p in {{3, 5, 7}}, got {args.p}")
     report = run_verify(args.p)
     lines = []
     for row in report["checks"]:

@@ -1,25 +1,21 @@
 """Exact arithmetic helpers for odd prime moduli.
 
-Residues live in {0, ..., p-1}; the canonical lift of a residue is the unique
-representative in {1, ..., p}, so 0 lifts to p.  Parameters outside the prime
-field are opaque Generic tokens: tokens with different names never coincide
-and never cancel against field elements.
+A residue is a plain int in {0, ..., p-1}; the canonical lift of a residue is
+the unique representative in {1, ..., p}, so 0 lifts to p.  Parameters outside
+the prime field are opaque Generic tokens, the only wrapped parameter: tokens
+with different names never coincide and never cancel against residues.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import lru_cache
 
 __all__ = [
-    "FpElem",
     "Generic",
     "Parameter",
     "PRIME_TEST_BOUND",
     "is_odd_prime",
     "check_odd_prime",
-    "lift",
-    "sort_params",
 ]
 
 
@@ -105,28 +101,6 @@ class _Frozen(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class FpElem(_Frozen):
-    """A residue value in {0, ..., p-1} for an odd prime p."""
-
-    __match_args__ = ("value", "p")
-
-    def __init__(self, value: int, p: int) -> None:
-        check_odd_prime(p)
-        if not isinstance(value, int) or not 0 <= value < p:
-            raise ValueError(f"residue {value!r} out of range for p={p}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "p", p)
-
-    @classmethod
-    def reduce(cls, n: int, p: int) -> "FpElem":
-        check_odd_prime(p)
-        return cls(n % p, p)
-
-    def lift(self) -> int:
-        """Canonical lift: the congruent integer in {1, ..., p}."""
-        return self.value if self.value != 0 else self.p
-
-
 class Generic(_Frozen):
     """Opaque scalar outside the prime field, identified by its token name."""
 
@@ -138,31 +112,4 @@ class Generic(_Frozen):
         object.__setattr__(self, "name", name)
 
 
-Parameter = FpElem | Generic
-
-
-def lift(x: FpElem) -> int:
-    """Canonical lift of a residue, in {1, ..., p}."""
-    return x.lift()
-
-
-def sort_params(params: Iterable[Parameter], p: int) -> tuple[list[int], int]:
-    """Split parameters into weakly decreasing canonical lifts plus a generic count.
-
-    Every field element must carry modulus p.  Generic tokens are counted, not
-    lifted.
-    """
-    check_odd_prime(p)
-    lifts: list[int] = []
-    generics = 0
-    for q in params:
-        if isinstance(q, Generic):
-            generics += 1
-        elif isinstance(q, FpElem):
-            if q.p != p:
-                raise ValueError(f"parameter modulus {q.p} does not match p={p}")
-            lifts.append(q.lift())
-        else:
-            raise TypeError(f"not a parameter: {q!r}")
-    lifts.sort(reverse=True)
-    return lifts, generics
+Parameter = int | Generic

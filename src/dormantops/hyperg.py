@@ -25,10 +25,10 @@ p^2, so it refuses p above MAX_ORACLE_P.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from collections.abc import Iterable, Sequence
 
-from .fp import FpElem, Generic, Parameter, _Frozen, check_odd_prime, sort_params
+from .fp import Generic, Parameter, _Frozen, check_odd_prime
 
 __all__ = [
     "MAX_ORACLE_P",
@@ -62,23 +62,13 @@ class GenericParameterError(ValueError):
     """Raised when an operation needs every parameter inside the prime field."""
 
 
-@lru_cache(maxsize=4096)
-def _elem(value: int, p: int) -> FpElem:
-    """The one shared FpElem per (value, p); FpElem is immutable."""
-    return FpElem(value, p)
-
-
 def _normalize(params: Iterable[object], p: int) -> tuple[Parameter, ...]:
     out: list[Parameter] = []
     for q in params:
         if isinstance(q, Generic):
             out.append(q)
-        elif isinstance(q, FpElem):
-            if q.p != p:
-                raise ValueError(f"parameter modulus {q.p} does not match p={p}")
-            out.append(q)
         elif isinstance(q, int):
-            out.append(_elem(q % p, p))
+            out.append(q % p)
         else:
             raise TypeError(f"not a parameter: {q!r}")
     return tuple(out)
@@ -118,14 +108,16 @@ class HGOperator(_Frozen):
 
     @cached_property
     def _lifts(self) -> tuple[list[int], list[int], bool]:
-        """(alpha lifts, beta lifts, all-F_p flag), one sort_params per side.
+        """(alpha lifts, beta lifts, all-F_p flag), one sort per side.
 
-        Stored in the instance dict like _row_echelon, so equality and hashing
-        are unchanged.  Callers must not mutate the lists.
+        The lift of residue q is q or p, in {1, ..., p}; Generic tokens have
+        none.  Stored in the instance dict like _row_echelon, so equality and
+        hashing are unchanged.  Callers must not mutate the lists.
         """
-        a, a_generic = sort_params(self.alpha, self.p)
-        b, b_generic = sort_params(self.beta, self.p)
-        return a, b, not (a_generic or b_generic)
+        p = self.p
+        a = sorted([q or p for q in self.alpha if not isinstance(q, Generic)], reverse=True)
+        b = sorted([q or p for q in self.beta if not isinstance(q, Generic)], reverse=True)
+        return a, b, len(a) + len(b) == len(self.alpha) + len(self.beta)
 
     @cached_property
     def _row_echelon(self) -> tuple[list[dict[int, int]], list[int]]:
@@ -195,10 +187,10 @@ def has_full_solutions(op: HGOperator) -> bool:
 
 
 def _require_fp(op: HGOperator) -> tuple[list[int], list[int]]:
-    # every parameter is an FpElem or a Generic; checked here, not read from
+    # every parameter is a residue or a Generic; checked here, not read from
     # op.all_fp(), so the oracle shares nothing with the closed form's lifts
-    avals = [q.value for q in op.alpha if isinstance(q, FpElem)]
-    bvals = [q.value for q in op.beta if isinstance(q, FpElem)]
+    avals = [q for q in op.alpha if not isinstance(q, Generic)]
+    bvals = [q for q in op.beta if not isinstance(q, Generic)]
     if len(avals) + len(bvals) < len(op.alpha) + len(op.beta):
         raise GenericParameterError("operation needs all parameters in F_p")
     return avals, bvals

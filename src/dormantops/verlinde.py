@@ -69,14 +69,20 @@ __all__ = [
 
 # Largest p verlinde_sum runs at; it also bounds the genus.  Each residue
 # prime costs about p/2 modular powers, and the number of primes grows with
-# the bits of B, about (n^2 - 1)(g - 1) log2(p); to bound it the sum refuses
-# p (g - 1) above MAX_SUM_P (MAX_SUM_P - 1).  Inside the validity window
-# g - 1 < p/n, so p (g - 1) <= p (p - 1) stays within that limit.  On a shared
-# 2-vCPU Intel Xeon under CPython 3.11, whose speed varies about twofold,
-# (257, 1, 257) takes 0.01 s and (257, 2, 257), both at the limit, 0.2 s, and
-# (257, 2, 129) 0.06 s, while (257, 2, 2000) would take 1.1-1.6 s.  Along the
-# window's edge the work grows about as p^2: (509, 2, 254) would take 0.3 s
-# and (1009, 2, 504) 1.2 s.
+# the bits of B, about (n^2 - 1)(g - 1) log2(p); the sum refuses p (g - 1)
+# above MAX_SUM_P (MAX_SUM_P - 1).  That bounds the number of primes only for
+# n <= 2: past it the factor n^2 - 1 grows, and so does the cost per prime of
+# walking T.  Inside the validity window g - 1 < p/n, so p (g - 1) <= p (p - 1)
+# stays within that limit.  On a shared 2-vCPU Intel Xeon under CPython 3.11,
+# whose speed varies about twofold, (257, 1, 257) takes 0.01 s and
+# (257, 2, 257), both at the limit, 0.2 s, and (257, 2, 129) 0.06 s, while
+# (257, 2, 2000) would take 1.1-1.6 s.  Along the window's edge the work grows
+# about as p^2: (509, 2, 254) would take 0.3 s and (1009, 2, 504) 1.2 s.
+# Outside the window, which verlinde_count and so the CLI enforce, the genus
+# rule admits sums that run for up to a minute once n >= 4: (113, 3, 583),
+# with a B of 24,782 bits, takes 0.6-0.9 s, (41, 4, 1605) (90,418 bits)
+# 3.6-4.3 s, (13, 6, 5061) (351,755 bits) 5.9-6.0 s and (17, 8, 3871)
+# (563,135 bits) 56-62 s.
 MAX_SUM_P = 257
 # Largest |T| = |Xi_{p,n}| verlinde_sum walks.  Each residue prime costs
 # n(n-1)/2 products per subset.  The slowest inputs inside the validity window

@@ -254,8 +254,9 @@ def test_verify_passes_for_published_primes(capsys, p):
 
 
 def test_verify_rejects_other_primes(capsys):
-    code, _, err = run(capsys, "verify", "--p", "11")
-    assert code == 1
+    assert run(capsys, "verify", "--p", "11") == (1, "", "error: verify covers p in {3, 5, 7}, got 11\n")
+    with pytest.raises(ValueError, match="got 11"):
+        cli.run_verify(11)
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):

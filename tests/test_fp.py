@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dormantops.fp import PRIME_TEST_BOUND, FpElem, Generic, check_odd_prime, is_odd_prime, lift, sort_params
+import dormantops
+from dormantops import fp
+from dormantops.fp import PRIME_TEST_BOUND, Generic, check_odd_prime, is_odd_prime
+from dormantops.hyperg import new_operator
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -49,48 +52,42 @@ def test_no_answer_at_or_above_the_bound(p):
 
 
 def test_reduce_wraps_mod_p():
-    assert FpElem.reduce(12, 7) == FpElem(5, 7)
-    assert FpElem.reduce(-1, 7) == FpElem(6, 7)
-    assert FpElem.reduce(21, 7).value == 0
+    """An operator reduces each int parameter to its residue in {0, ..., p-1}."""
+    op = new_operator(7, (12, -1, 21), (6,))
+    assert op.alpha == (5, 6, 0) and op.beta == (6,)
 
 
 def test_lift_sends_zero_to_p():
     """The canonical lift lives in {1, ..., p}, so the zero residue lifts to p."""
-    assert FpElem(0, 7).lift() == 7
-    assert FpElem(1, 7).lift() == 1
-    assert FpElem(6, 7).lift() == 6
-    assert lift(FpElem(0, 5)) == 5
+    assert new_operator(7, (0, 1, 6), (0,)).fp_lifts() == ([7, 6, 1], [7])
+    assert new_operator(5, (5,), (1,)).fp_lifts() == ([5], [1])
 
 
 @given(st.integers(-1000, 1000), st.sampled_from([3, 5, 7, 11, 13]))
 def test_lift_is_congruent_and_in_range(value, p):
-    x = FpElem.reduce(value, p)
-    assert 1 <= x.lift() <= p
-    assert x.lift() % p == value % p
+    (x,), _ = new_operator(p, (value,), (1,)).fp_lifts()
+    assert 1 <= x <= p
+    assert x % p == value % p
 
 
-def test_value_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        FpElem(7, 7)
-    with pytest.raises(ValueError):
-        FpElem(-1, 7)
+def test_lifts_are_in_decreasing_order():
+    op = new_operator(7, (2, 0, 5), (1, 3))
+    assert op.fp_lifts() == ([7, 5, 2], [3, 1])
+    assert op.all_fp()
 
 
-def test_sort_params_orders_lifts_descending():
-    lifts, generics = sort_params([FpElem(2, 7), FpElem(0, 7), FpElem(5, 7)], 7)
-    assert lifts == [7, 5, 2]
-    assert generics == 0
+def test_a_generic_makes_all_fp_false():
+    op = new_operator(5, (Generic("a"), 3, Generic("b")), (2,))
+    assert op.fp_lifts() == ([3], [2])
+    assert not op.all_fp()
+    assert not new_operator(5, (3,), (Generic("c"),)).all_fp()
 
 
-def test_sort_params_counts_generics():
-    lifts, generics = sort_params([Generic("a"), FpElem(3, 5), Generic("b")], 5)
-    assert lifts == [3]
-    assert generics == 2
-
-
-def test_sort_params_rejects_mixed_moduli():
-    with pytest.raises(ValueError):
-        sort_params([FpElem(1, 5), FpElem(1, 7)], 5)
+@pytest.mark.parametrize("module", [dormantops, fp])
+def test_residues_have_no_wrapper(module):
+    for name in ("FpElem", "lift", "sort_params"):
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
 
 
 def test_generic_needs_a_name():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dormantops import hyperg
-from dormantops.fp import FpElem, Generic, is_odd_prime
+from dormantops.fp import Generic, is_odd_prime
 from dormantops.hyperg import (
     MAX_ORACLE_P,
     GenericParameterError,
@@ -272,46 +272,49 @@ def test_cached_elimination_keeps_equality_and_hash():
     assert cached == fresh and hash(cached) == hash(fresh)
 
 
+def _lifts_property():
+    return vars(hyperg.HGOperator)["_lifts"]
+
+
 def test_one_sort_per_side_per_operator(monkeypatch):
     calls = []
-    sort = hyperg.sort_params
+    lifts = _lifts_property().func
 
-    def counting(params, p):
-        calls.append(p)
-        return sort(params, p)
+    def counting(op):
+        calls.append(op.p)
+        return lifts(op)
 
-    monkeypatch.setattr(hyperg, "sort_params", counting)
+    monkeypatch.setattr(_lifts_property(), "func", counting)
     op = new_operator(7, (6, 4, 2), (5, 3))
     for _ in range(2):
         assert t_set(op) == {0, 1, 2} and kernel_rank(op) == 3
         assert has_full_solutions(op) and op.all_fp()
         assert op.fp_lifts() == ([6, 4, 2], [5, 3])
-    assert calls == [7, 7]
+    assert calls == [7]
 
 
 def test_oracle_reads_nothing_from_the_lifts(monkeypatch):
-    def refuse(params, p):
+    def refuse(op):
         raise AssertionError("the oracle sorted the parameters")
 
-    monkeypatch.setattr(hyperg, "sort_params", refuse)
+    monkeypatch.setattr(_lifts_property(), "func", refuse)
     op = new_operator(7, (6, 4, 2), (5, 3))
     assert oracle_rank(op) == 3
     assert len(root_basis(op)) == 3
+    with pytest.raises(AssertionError, match="sorted"):
+        op.all_fp()
 
 
-def test_field_elements_are_interned_and_still_validated():
-    one = new_operator(7, (1, 8), (15,))
-    assert one.alpha[0] is one.alpha[1] is one.beta[0]
-    assert one.alpha[0] is new_operator(7, (-6,), (2,)).alpha[0]
-    assert one.alpha[0] is not new_operator(11, (1,), (2,)).alpha[0]
+def test_parameters_are_plain_residues():
+    op = new_operator(7, (8, -1, 0), (15, Generic("b")))
+    assert op.alpha == (1, 6, 0)
+    assert all(type(x) is int for x in op.alpha + op.beta if not isinstance(x, Generic))
+    assert op.fp_lifts() == ([7, 6, 1], [1])
     for p in (1, 4, 9, 2):
         with pytest.raises(ValueError, match="odd prime"):
             new_operator(p, (1,), (1,))
-    for value in (-1, 7, 8):
-        with pytest.raises(ValueError, match="out of range"):
-            FpElem(value, 7)
-    with pytest.raises(ValueError, match="modulus"):
-        new_operator(7, (FpElem(1, 5),), (1,))
+    with pytest.raises(TypeError, match="not a parameter"):
+        new_operator(7, (1.0,), (1,))
 
 
 def _prime_above(n):

@@ -188,7 +188,7 @@ def test_input_bounds_admit_every_benchmark_and_test_input():
     assert MAX_SUM_P >= 29
     assert xi_size(17, 8) <= MAX_SUM_CLASSES
     assert xi_size(113, 3) <= MAX_SUM_CLASSES < xi_size(127, 3)
-    assert verlinde_sum(MAX_SUM_P, 2, 2).denominator == 1
+    assert type(verlinde_sum(MAX_SUM_P, 2, 2)) is int
 
 
 @pytest.mark.parametrize("p,n,match", [
