@@ -12,7 +12,6 @@ from .hyperg import (
     matrix,
     new_operator,
     oracle_rank,
-    pcurvature_sum_test,
     root_basis,
     t_set,
 )

@@ -7,12 +7,14 @@ a class is accepted.
 
 Exit codes: 0 success, 1 invalid input or input too large, 3 table or axiom
 mismatch, or a failed self-check: a witness that disagrees with a computed
-table, or a closed-form sum that fails one of its own checks.
+table, or a closed-form sum that fails one of its own checks, and 141
+(128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -370,7 +372,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the rest of the output, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -80,7 +80,7 @@ class Cobordism(_Frozen):
     __match_args__ = ("genus", "n_in", "n_out")
 
     def __init__(self, genus: int, n_in: int, n_out: int) -> None:
-        if min(genus, n_in, n_out) < 0:
+        if any(type(x) is not int or x < 0 for x in (genus, n_in, n_out)):
             raise ValueError("genus and boundary counts must be nonnegative")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "n_in", n_in)
@@ -418,7 +418,7 @@ class FusionEngine:
         Valid for 2g - 2 + r > 0 and for the closed surfaces of genus 0 and 1;
         the chain (module docstring) is linear in g + r, so any genus finishes.
         """
-        if not isinstance(g, int) or g < 0:
+        if type(g) is not int or g < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
         idx = self.table.indices(radii)
         r = len(idx)

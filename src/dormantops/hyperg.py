@@ -43,7 +43,6 @@ __all__ = [
     "oracle_rank",
     "root_basis",
     "apply",
-    "pcurvature_sum_test",
 ]
 
 
@@ -336,14 +335,3 @@ def root_basis(op: HGOperator) -> list[tuple[int, ...]]:
             raise AssertionError(f"null vector {vec_t} not annihilated by operator")
         basis.append(vec_t)
     return basis
-
-
-def pcurvature_sum_test(alpha: Iterable[Parameter], beta: Iterable[Parameter]) -> bool:
-    """Whether both parameter sums land in F_p.
-
-    A Generic token in either tuple keeps that sum outside the field: tokens
-    are opaque and never cancel.
-    """
-    return not any(isinstance(q, Generic) for q in alpha) and not any(
-        isinstance(q, Generic) for q in beta
-    )

@@ -119,13 +119,6 @@ class RadiusClass(_Frozen):
     def in_xi(self) -> bool:
         return len(set(self.elems)) == len(self.elems)
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "elems": list(self.elems)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RadiusClass":
-        return canonical(obj["p"], obj["elems"])
-
 
 def _zero_translates(p: int, elems: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The sorted translates that contain 0, one per distinct entry."""
@@ -147,9 +140,9 @@ def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
 
 
 def _check_pn(p: int, n: int, least: int = 1) -> None:
-    """ValueError unless p is an odd prime and least <= n < p; p is checked first."""
+    """ValueError unless p is an odd prime and n an int, not a bool, with least <= n < p; p first."""
     check_odd_prime(p)
-    if not least <= n < p:
+    if type(n) is not int or not least <= n < p:
         lower = "1 <= n" if least == 1 else f"{least - 1} < n"
         raise ValueError(f"need {lower} < p, got n={n}, p={p}")
 
@@ -162,7 +155,7 @@ def _zero_sum_subsets(p: int, n: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def xi(p: int, n: int) -> tuple[RadiusClass, ...]:
     """All distinct-entry classes of size n, sorted: the lexmin translates of T."""
     _check_pn(p, n)
@@ -246,7 +239,7 @@ def _xi_index(p: int, index: dict[tuple[int, ...], int], es: Sequence[int]) -> i
     return i
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _hyp_orbits(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """The radii triples of the full-solution chains as sorted index triples
     i <= j <= l into xi(p, n), one per S3 orbit, in increasing order.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .radii import RadiusClass, canonical
+from .radii import RadiusClass, _check_pn, canonical
 
 __all__ = [
     "published_pairs",
@@ -38,14 +38,23 @@ def published_pairs() -> list[tuple[int, int]]:
     return sorted(_records())
 
 
+def _record(p: int, n: int) -> dict:
+    """The record of (p, n); ValueError for an invalid or an uncovered pair."""
+    _check_pn(p, n)
+    rec = _records().get((p, n))
+    if rec is None:
+        pairs = ", ".join(f"({q}, {m})" for q, m in published_pairs())
+        raise ValueError(f"the published tables cover (p, n) in {{{pairs}}}, got ({p}, {n})")
+    return rec
+
+
 def published_xi(p: int, n: int) -> tuple[RadiusClass, ...]:
-    rec = _records()[(p, n)]
-    return tuple(canonical(p, e) for e in rec["xi"])
+    return tuple(canonical(p, e) for e in _record(p, n)["xi"])
 
 
 def published_counts(p: int, n: int) -> dict[Triple, int]:
     """Reference map triple -> N, with zero entries omitted."""
     return {
         tuple(canonical(p, e) for e in entry["triple"]): entry["N"]
-        for entry in _records()[(p, n)]["counts"]
+        for entry in _record(p, n)["counts"]
     }

@@ -119,7 +119,7 @@ def verlinde_sum(p: int, n: int, g: int) -> int:
     proved range (module docstring).
     """
     _check_pn(p, n)
-    if g < 1:
+    if type(g) is not int or g < 1:
         raise ValueError(f"need genus >= 1, got {g}")
     if p > MAX_SUM_P:
         raise ValueError(f"p={p} is over the limit of {MAX_SUM_P} for the closed-form sum")
@@ -178,7 +178,7 @@ def verlinde_count(p: int, n: int, g: int) -> int:
     p > n * max(g-1, 2).
     """
     _check_pn(p, n)
-    if g < 2:
+    if type(g) is not int or g < 2:
         raise ValueError(f"need genus >= 2, got {g}")
     if p <= n * max(g - 1, 2):
         raise ValueError(
@@ -187,10 +187,10 @@ def verlinde_count(p: int, n: int, g: int) -> int:
     return verlinde_sum(p, n, g)
 
 
-def poly_n3_g2(p: int) -> Fraction:
-    """The degree-8 polynomial giving the rank-3 genus-2 count, evaluated exactly."""
-    # imported on first use: fractions loads decimal, and only verify needs them
-    from fractions import Fraction
-
-    q = Fraction(p)
-    return q**8 / 181440 + q**6 / 4320 - 11 * q**4 / 8640 + 47 * q**2 / 45360
+def poly_n3_g2(p: int) -> int:
+    """The rank-3 genus-2 count (p^8 + 42 p^6 - 231 p^4 + 188 p^2) / 181440; ArithmeticError on a remainder."""
+    _check_pn(p, 3)
+    value, rest = divmod(p**8 + 42 * p**6 - 231 * p**4 + 188 * p**2, 181440)
+    if rest:
+        raise ArithmeticError(f"the rank-3 genus-2 polynomial at p={p} is not an integer")
+    return value

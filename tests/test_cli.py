@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import count
+from pathlib import Path
 
 import pytest
 
+import dormantops
 from dormantops import cli, fusion
 from dormantops.fp import PRIME_TEST_BOUND, is_odd_prime
 from dormantops.fusion import BaseTable
@@ -356,3 +361,15 @@ def test_run_verify_report_shape():
     assert report["p"] == 3 and report["passed"] is True
     checks = {row["check"] for row in report["checks"]}
     assert {"xi-list", "count-table", "axioms", "genus-1"} <= checks
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_error():
+    """xi --p 19 --n 9 writes about 100 kB; the reader takes 100 bytes and leaves."""
+    src = Path(dormantops.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dormantops.cli", "xi", "--p", "19", "--n", "9"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""

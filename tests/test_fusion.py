@@ -31,6 +31,19 @@ def test_published_data_covers_the_small_primes():
         assert published_xi(p, n) == xi(p, n)
 
 
+@pytest.mark.parametrize("p, n, message", [
+    (11, 3, "the published tables cover (p, n) in {(3, 2), (5, 2), (5, 3), (5, 4), (7, 2), "
+            "(7, 3), (7, 4), (7, 5), (7, 6)}, got (11, 3)"),
+    (9, 3, "modulus must be an odd prime, got 9"),
+    (7, 7, "need 1 <= n < p, got n=7, p=7"),
+], ids=["11-3", "9-3", "7-7"])
+def test_published_tables_refuse_an_uncovered_pair(p, n, message):
+    for load in (published_xi, published_counts):
+        with pytest.raises(ValueError) as err:
+            load(p, n)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("p,n,entries", [
     (3, 2, 1), (5, 2, 5), (5, 3, 5), (5, 4, 1), (7, 2, 14),
     (7, 3, 53), (7, 4, 53), (7, 5, 14), (7, 6, 1),
@@ -308,6 +321,10 @@ def test_count_validates_inputs():
     a = canonical(5, (0, 1))
     with pytest.raises(ValueError):
         engine.count(-1, [])
+    for g in (True, 1.5, 2.0):
+        with pytest.raises(ValueError) as err:
+            count(7, 3, g)
+        assert str(err.value) == f"genus must be a nonnegative integer, got {g!r}"
     with pytest.raises(ValueError):
         engine.count(0, [a])
     with pytest.raises(ValueError):

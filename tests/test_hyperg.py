@@ -16,7 +16,6 @@ from dormantops.hyperg import (
     matrix,
     new_operator,
     oracle_rank,
-    pcurvature_sum_test,
     root_basis,
     t_set,
 )
@@ -153,12 +152,6 @@ def test_rank_depends_only_on_parameter_multisets():
     op2 = new_operator(7, (5, 1, 2), (6, 3))
     assert t_set(op1) == t_set(op2)
     assert oracle_rank(op1) == oracle_rank(op2)
-
-
-def test_pcurvature_sum_test():
-    assert pcurvature_sum_test((1, 2), (3,)) is True
-    assert pcurvature_sum_test((Generic("a"), 2), (3,)) is False
-    assert pcurvature_sum_test((1, 2), (Generic("b"),)) is False
 
 
 def _span(basis, p):

@@ -82,12 +82,6 @@ def test_zero_translates_match_the_p_shift_formulas(p):
                 assert is_hyp_type(RadiusClass(p, least)) == want
 
 
-def test_json_round_trip():
-    c = canonical(7, (0, 2, 4))
-    assert c.to_json() == {"p": 7, "elems": [0, 2, 4]}
-    assert RadiusClass.from_json(c.to_json()) == c
-
-
 def test_equal_classes_hash_equal_whichever_constructor_built_them():
     for c in xi(7, 3):
         built = [RadiusClass(7, c.elems), canonical(7, [(e + 3) % 7 for e in c.elems]), c]
@@ -378,14 +372,21 @@ def _cli(command, p, n, *rest):
 def _refusals():
     for name, call, least in _ENTRY_POINTS:
         lower = "need 1 <= n < p" if least == 1 else "need 1 < n < p"
-        bad = [(9, 3), (7, 0), (7, 7), (7, 8)] + [(7, 1)] * (least == 2)
-        for p, n in bad:
-            message = "modulus must be an odd prime, got 9" if p == 9 else f"{lower}, got n={n}, p={p}"
-            yield pytest.param(call, p, n, message, id=f"{name}-{p}-{n}")
+        library = not name.startswith("cli")
+        # argparse hands the CLI ints only
+        bad_p = [9] + [7.0] * library
+        bad_n = [0, 7, 8] + [1] * (least == 2) + [3.0, True] * library
+        for p in bad_p:
+            yield pytest.param(call, p, 3, f"modulus must be an odd prime, got {p}", library, id=f"{name}-{p}-3")
+        for n in bad_n:
+            yield pytest.param(call, 7, n, f"{lower}, got n={n}, p=7", library, id=f"{name}-7-{n}")
 
 
-@pytest.mark.parametrize("call, p, n, message", _refusals())
-def test_every_entry_point_refuses_a_bad_prime_or_rank_alike(call, p, n, message):
+@pytest.mark.parametrize("call, p, n, message, warm", _refusals())
+def test_every_entry_point_refuses_a_bad_prime_or_rank_alike(call, p, n, message, warm):
+    if warm:
+        # a cached answer for (7, 3) must not stand in for 7.0, 3.0 or True
+        call(7, 3)
     with pytest.raises(ValueError) as err:
         call(p, n)
     assert str(err.value) == message

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dormantops
+from dormantops import hyperg
 from dormantops.fp import Generic
 from dormantops.fusion import AxiomReport, AxiomResult, Cobordism
 from dormantops.hyperg import HGOperator, new_operator
@@ -176,6 +177,9 @@ def test_pickled_radius_class_keeps_its_hash():
         (lambda: RadiusClass(7, (0, 7)), "entries out of range for p=7: (0, 7)"),
         (lambda: RadiusClass(4, (0, 1)), "modulus must be an odd prime, got 4"),
         (lambda: Cobordism(0, -1, 2), "genus and boundary counts must be nonnegative"),
+        pytest.param(lambda: Cobordism(1.5, 0, 0), "genus and boundary counts must be nonnegative", id="float-genus"),
+        pytest.param(lambda: Cobordism(True, 0, 0), "genus and boundary counts must be nonnegative", id="bool-genus"),
+        pytest.param(lambda: Cobordism(0, 1.0, 0), "genus and boundary counts must be nonnegative", id="float-n_in"),
     ],
 )
 def test_validation_messages(build, message):
@@ -184,12 +188,21 @@ def test_validation_messages(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "owner, name",
+    [(dormantops, "pcurvature_sum_test"), (hyperg, "pcurvature_sum_test"), (RadiusClass, "to_json"), (RadiusClass, "from_json")],
+)
+def test_removed_public_names_stay_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
+
+
 def test_the_import_loads_only_what_every_command_needs():
     """A CLI call pays for every module the library imports at start.
 
-    The embedded tables, verify's rank-3 polynomial and --json output import
-    importlib.resources, fractions and json when first used.  Under -S, site
-    preloads nothing, so a module the library itself imports cannot hide.
+    The embedded tables and --json output import importlib.resources and json
+    when first used.  Under -S, site preloads nothing, so a module the library
+    itself imports cannot hide.
     """
     src = Path(dormantops.__file__).resolve().parents[1]
     code = (
@@ -208,16 +221,56 @@ def test_the_import_loads_only_what_every_command_needs():
         assert not forbidden & loaded, flags
 
 
-def test_the_closed_form_count_loads_no_fractions():
-    """verlinde_sum returns an int, so a verlinde call never imports fractions."""
+_VERIFY_P7 = """\
+n=2 xi-list: ok
+n=2 count-table: ok
+n=2 axioms: ok
+n=2 genus-1: ok
+n=2 genus-2: ok
+n=3 xi-list: ok
+n=3 count-table: ok
+n=3 axioms: ok
+n=3 genus-1: ok
+n=3 genus-2: ok
+n=3 genus-2 polynomial: ok
+n=4 xi-list: ok
+n=4 count-table: ok
+n=4 axioms: ok
+n=4 genus-1: ok
+n=4 genus-2 (outside validity window): ok
+n=5 xi-list: ok
+n=5 count-table: ok
+n=5 axioms: ok
+n=5 genus-1: ok
+n=5 genus-2 (outside validity window): ok
+n=6 xi-list: ok
+n=6 count-table: ok
+n=6 axioms: ok
+n=6 genus-1: ok
+n=6 genus-2 (outside validity window): ok
+PASS
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["verlinde", "--p", "17", "--n", "8", "--g", "2"], "count = 2383152634054\n"),
+        (["verify", "--p", "7"], _VERIFY_P7),
+    ],
+    ids=["verlinde", "verify"],
+)
+def test_the_closed_form_count_loads_no_fractions(argv, stdout):
+    """verlinde_sum and poly_n3_g2 return ints, so neither command imports fractions."""
     src = Path(dormantops.__file__).resolve().parents[1]
     code = (
         "import sys; from dormantops.cli import main; before = set(sys.modules); "
-        "main(['verlinde', '--p', '17', '--n', '8', '--g', '2']); "
+        f"main({argv!r}); "
         "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "count = 2383152634054\n"
-    assert "fractions" not in proc.stderr.split()
+    assert proc.stdout == stdout
+    loaded = proc.stderr.split()
+    assert "fractions" not in loaded and "decimal" not in loaded

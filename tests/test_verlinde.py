@@ -180,6 +180,18 @@ def test_sum_validation():
         verlinde_sum(7, 3, 0)
 
 
+@pytest.mark.parametrize("g", [2.5, 2.0, True])
+def test_a_genus_that_is_not_an_int_is_refused_before_any_work(monkeypatch, g):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(verlinde, "_bound", no_work)
+    for call, least in ((verlinde_sum, 1), (verlinde_count, 2)):
+        with pytest.raises(ValueError) as err:
+            call(7, 3, g)
+        assert str(err.value) == f"need genus >= {least}, got {g}"
+
+
 def _prime_above(n):
     return next(q for q in range(n + 1, 2 * n + 2) if is_odd_prime(q))
 
@@ -234,7 +246,11 @@ def test_genus_one_sum_counts_the_classes(p, n):
 
 
 def test_rank_three_genus_two_polynomial():
-    assert poly_n3_g2(3) == Fraction(1, 9)
+    with pytest.raises(ValueError) as err:
+        poly_n3_g2(3)
+    assert str(err.value) == "need 1 <= n < p, got n=3, p=3"
+    for p in (5, 7, 11, 13):
+        assert type(poly_n3_g2(p)) is int
     assert poly_n3_g2(5) == 5
     assert poly_n3_g2(7) == 56
     assert poly_n3_g2(11) == 1573
