@@ -185,11 +185,14 @@ def comp_dual(c: RadiusClass) -> RadiusClass:
 def exponents(
     p: int, alpha: Sequence[int], beta: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Raw exponent multisets (mod p) of a parameter tuple with m = n-1."""
+    """Raw exponent multisets (mod p) of a parameter tuple of ints with m = n-1."""
     check_odd_prime(p)
     n = len(alpha)
     if n < 2 or len(beta) != n - 1:
         raise ValueError(f"need len(alpha) >= 2 and len(beta) == len(alpha) - 1")
+    for x in (*alpha, *beta):
+        if not isinstance(x, int):
+            raise TypeError(f"not a parameter: {x!r}")
     a = [x % p for x in alpha]
     b = [x % p for x in beta]
     e1 = (0,) + tuple((1 - x) % p for x in b)

@@ -323,19 +323,25 @@ def test_oracle_refuses_p_above_its_bound():
             fn(op)
 
 
-def test_oracle_and_basis_at_a_large_prime():
-    p = 2003
-    rng = random.Random(2003)
-    lifts = sorted(rng.sample(range(1, p + 1), 7), reverse=True)
+def _seeded_chain(p):
+    """A rank-4 full-solution chain at p, drawn from a generator seeded by p."""
+    lifts = sorted(random.Random(p).sample(range(1, p + 1), 7), reverse=True)
     chain = new_operator(p, lifts[0::2], lifts[1::2])
-    ops = [chain, new_operator(p, (40, 7, 1500), (20, 1999))]
     assert kernel_rank(chain) == 4 and has_full_solutions(chain)
+    return chain
+
+
+def test_oracle_and_basis_at_a_large_prime():
+    # the largest prime the oracle accepts, so its edge stays covered
+    edge = 9973
+    assert edge <= MAX_ORACLE_P < _prime_above(edge)
+    ops = [_seeded_chain(2003), new_operator(2003, (40, 7, 1500), (20, 1999)), _seeded_chain(edge)]
     for op in ops:
         assert oracle_rank(op) == kernel_rank(op), (op.alpha, op.beta)
         basis = root_basis(op)
         assert len(basis) == kernel_rank(op)
         for vec in basis:
-            assert len(vec) == p and not any(apply(op, vec)), (op.alpha, op.beta)
+            assert len(vec) == op.p and not any(apply(op, vec)), (op.alpha, op.beta)
 
 
 def _assert_free_column_shape(basis):
@@ -378,10 +384,18 @@ def test_echelon_on_dense_matrices():
     rows, its rank matches a brute-force null-vector count, and its rows are in
     echelon form with unit pivots."""
     rng = random.Random(3)
+    mats = [
+        (5, [[0, 0, 0], [2, 0, 1], [0, 0, 0]]),
+        (7, [[1, 2, 3, 4], [0, 5, 6, 0], [1, 2, 3, 4], [3, 6, 2, 5]]),
+        # the third row is reduced twice, the fourth to nothing
+        (5, [[1, 1, 0], [0, 1, 1], [1, 0, 0], [2, 2, 0]]),
+    ]
     for _ in range(60):
-        p = rng.choice([3, 5])
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-        mat = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        p = rng.choice([3, 5, 7])
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        mats.append((p, [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)] for _ in range(nrows)]))
+    for p, mat in mats:
+        nrows, ncols = len(mat), len(mat[0])
         null = sum(
             1
             for v in product(range(p), repeat=ncols)

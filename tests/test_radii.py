@@ -180,6 +180,15 @@ def test_exponents_need_matching_lengths():
         exponents(7, [1, 2, 3], [4])
 
 
+def test_exponents_need_int_parameters():
+    for fn in (exponents, radii_triple):
+        for alpha, beta, bad in (([1.5, 2], [3], 1.5), ([1, 2], [3.0], 3.0), ([1, "2"], [3], "2")):
+            with pytest.raises(TypeError, match=f"^not a parameter: {bad!r}$"):
+                fn(7, alpha, beta)
+        # ints pass, bools among them, as in new_operator
+        assert fn(7, [True, 9], [-4]) == fn(7, [1, 2], [3])
+
+
 def test_hyp_type_membership():
     assert [is_hyp_type(w) for w in W] == [True, True, True, True, False]
     assert [is_hyp_type(v) for v in V] == [True, True, True, False, False]
