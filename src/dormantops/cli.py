@@ -200,9 +200,9 @@ def cmd_count(args) -> int:
     radii = _parse_radii(args.radii, args.p) if args.radii else []
     engine = FusionEngine(args.p, args.n)
     value = engine.count(args.g, radii)
-    elems = [list(c.elems) for c in engine.basis]
+    table, elems = engine.table, [list(c.elems) for c in engine.basis]
     # the basis is lexicographic, so sorted index triples are sorted element lists
-    rows = [([elems[i] for i in idx], v, src) for idx, (v, src) in sorted(engine.used.items())]
+    rows = [([elems[i] for i in idx], table.at(idx), table.source_at(idx)) for idx in sorted(engine.used)]
     payload = {
         "p": args.p,
         "n": args.n,

@@ -89,8 +89,8 @@ class Cobordism(_Frozen):
 
 # Largest |Xi_{p,n}| a base table is built for: every (p, n) with p <= 13 fits
 # (k <= 132), while (17, 5), with k = 364, would need 48 million cells.
-# BaseTable(13, 6), 2.3 million cells, takes 0.60-0.64 s with xi and hyp_set
-# warm on a shared 2-vCPU Intel Xeon under CPython 3.11 (five fresh processes).
+# BaseTable(13, 6), 2.3 million cells, takes 0.25-0.30 s with xi and hyp_set
+# warm on a shared 2-vCPU Intel Xeon under CPython 3.11 (six fresh processes).
 # It also admits (p, 2) and (p, p - 2), k = (p - 1)/2, for every prime p <= 293,
 # (p, 3) and (p, p - 3) up to p = 31, and (17, 13), and the (p, p - 2) tables
 # are slow on the same machine: count --p 151 --n 149 --g 2 takes 14 s,
@@ -176,8 +176,8 @@ def _closure(basis, pieri, w: int) -> Iterator[list[int]]:
     ||.|| <= prod_{i' >= i} sum_j ||H_{lambda_i' - i' + j}||, j over all
     columns of M_lambda.  _minor_bound is the largest of these products, and
     BaseTable takes the least w = 8 2^e with the bound below 2^(w-1).  Every admitted table with
-    p <= 59 has a bound of at most 56 bits, so w <= 64; the tables (p, p-2)
-    from p = 61 on take w = 128, which _unpack decodes slot by slot.
+    p <= 61 has a bound of at most 58 bits, so w <= 64; the tables (p, p-2)
+    from p = 67 on take w = 128, which _unpack decodes slot by slot.
 
     lambda from row r on depends only on the first n - r elements of a class; the
     basis is lexicographic, so each row keeps the minors of its latest tail only.
@@ -226,8 +226,9 @@ def _unpack(row: int, w: int, k: int) -> Sequence[int]:
 class BaseTable:
     """Resolved three-point counts over all ordered triples from Xi_{p,n}.
 
-    Each ordered triple of basis indices holds one (value, source) cell; at()
-    is the only reader of the cells.  The table also owns the basis data the
+    Each ordered triple of basis indices holds its count; at() is the only
+    reader of the counts, and source_at() derives a cell's source tag from the
+    kinds of its three classes.  The table also owns the basis data the
     engine and check_axioms share: index maps a class to its position in
     basis, dual_perm[i] is the index of neg_dual(basis[i]), and unit is the
     index of the unit class [0, ..., n-1].
@@ -268,22 +269,15 @@ class BaseTable:
         # witnessed[f] covers its slots of kind 0 or 1
         witnessed = [sum(((1 << w) - 1) << (w * b) for b, x in enumerate(kinds) if min(f, x) < 2) for f in range(3)]
         bias = sum(1 << (w * b + w - 1) for b in range(k))  # the top bit of every slot
-        # cells[f][b] maps a value to the interned cell of slot b in such a row
-        interned: list[dict[int, tuple[int, str]]] = [{}, {}, {}]
-        cells = [[interned[min(f, x)] for x in kinds] for f in range(3)]
-        self._cells: list[tuple[int, str]] = [None] * k**3  # type: ignore[list-item]
+        self._kinds = kinds
+        self._manual: frozenset[tuple[int, int, int]] = frozenset()
+        self._cells: list[int] = [0] * k**3
         for a, rows in enumerate(_closure(basis, pieri, w)):
             for c, d in enumerate(dual):
                 row, f, want = rows[d], min(kinds[a], kinds[c]), expect.get(a * k + c, 0)
                 if (row + bias) & bias != bias or row & witnessed[f] != want:
                     self._refuse(a, c, row + bias, want, [min(f, x) for x in kinds], w)
-                values = _unpack(row, w, k)
-                got = list(map(dict.get, cells[f], values))
-                if None in got:
-                    for v, x in zip(values, kinds):
-                        interned[min(f, x)].setdefault(v, (v, _TAGS[min(f, x)]))
-                    got = list(map(dict.get, cells[f], values))
-                self._cells[a * k * k + c:(a + 1) * k * k:k] = got
+                self._cells[a * k * k + c:(a + 1) * k * k:k] = _unpack(row, w, k)
 
     def _refuse(self, a: int, c: int, biased: int, want: int, kinds: list[int], w: int) -> None:
         """Raise for the first cell (a, b, c), in b order, that is negative or
@@ -303,9 +297,18 @@ class BaseTable:
         i, j, l = idx
         return (i * k + j) * k + l
 
-    def at(self, idx: Sequence[int]) -> tuple[int, str]:
-        """(value, source) of an ordered triple of basis indices."""
+    def at(self, idx: Sequence[int]) -> int:
+        """The count of an ordered triple of basis indices."""
         return self._cells[self._slot(idx)]
+
+    def source_at(self, idx: Sequence[int]) -> str:
+        """The source tag of an ordered triple of basis indices: "manual" for a
+        cell set by with_value, else the tag of the least kind of its classes."""
+        i, j, l = idx
+        if (i, j, l) in self._manual:
+            return "manual"
+        kinds = self._kinds
+        return _TAGS[min(kinds[i], kinds[j], kinds[l])]
 
     def indices(self, classes: Sequence[RadiusClass]) -> tuple[int, ...]:
         """Basis indices of classes from Xi_{p,n}; ValueError for anything else."""
@@ -325,22 +328,26 @@ class BaseTable:
         return idx
 
     def value(self, triple: Sequence[RadiusClass]) -> int:
-        return self.at(self._triple(triple))[0]
+        return self.at(self._triple(triple))
 
     def source(self, triple: Sequence[RadiusClass]) -> str:
-        return self.at(self._triple(triple))[1]
+        return self.source_at(self._triple(triple))
 
     def entries(self) -> dict[Triple, tuple[int, str]]:
+        # the cube in product order is the order of the cells
         cube = itertools.product(range(len(self.basis)), repeat=3)
-        return {tuple(self.basis[i] for i in idx): self.at(idx) for idx in cube}  # type: ignore[misc]
+        return {tuple(map(self.basis.__getitem__, idx)): (v, self.source_at(idx))  # type: ignore[misc]
+                for idx, v in zip(cube, self._cells)}
 
     def with_value(self, triple: Sequence[RadiusClass], value: int) -> "BaseTable":
         """Copy of the table with one entry's whole S_3 orbit replaced."""
         idx = self._triple(triple)
         clone = copy.copy(self)
         clone._cells = list(self._cells)
-        for perm in itertools.permutations(idx):
-            clone._cells[self._slot(perm)] = (value, "manual")
+        perms = set(itertools.permutations(idx))
+        clone._manual = self._manual | perms
+        for perm in perms:
+            clone._cells[self._slot(perm)] = value
         return clone
 
 
@@ -356,8 +363,8 @@ class FusionEngine:
     """Counts over surfaces of arbitrary genus and marked points, one chain each.
 
     memo holds every answer of count, keyed by (g, sorted tuple of basis
-    indices); used holds every base entry that count and evaluate read, keyed
-    by its ordered triple of basis indices, with the table's (value, source).
+    indices); used holds the ordered triple of basis indices of every base
+    entry that count and evaluate read, whose value and source the table gives.
     """
 
     def __init__(self, p: int, n: int, table: BaseTable | None = None):
@@ -367,11 +374,11 @@ class FusionEngine:
         self.basis = self.table.basis
         self.dual_perm = self.table.dual_perm
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.used: dict[tuple[int, int, int], tuple[int, str]] = {}
+        self.used: set[tuple[int, int, int]] = set()
 
     def _entry(self, idx: tuple[int, int, int]) -> int:
-        cell = self.used[idx] = self.table.at(idx)
-        return cell[0]
+        self.used.add(idx)
+        return self.table.at(idx)
 
     def _times(self, v: dict[int, int], a: int) -> dict[int, int]:
         """The product v e_a, reading the rows of the support of v."""
@@ -516,18 +523,12 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
     """
     _size(p, n, MAX_AXIOM_CLASSES, "check_axioms")
     table = _table_for(p, n, table)
-    report = AxiomReport(p=p, n=n)
     basis, dual = table.basis, table.dual_perm
     k = len(basis)
     # prod[i][j] = e_i e_j as a sparse vector; no stored coefficient is zero
-    prod = [[{t: x for t, d in enumerate(dual) if (x := table.at((i, j, d))[0])}
+    prod = [[{t: x for t, d in enumerate(dual) if (x := table.at((i, j, d)))}
              for j in range(k)] for i in range(k)]
     name_of = lambda i: str(list(basis[i].elems))
-
-    def run(name, fail_witness):
-        report.results.append(
-            AxiomResult(name, fail_witness is None, fail_witness)
-        )
 
     def combine(terms) -> dict[int, int]:
         """sum of x v over the pairs (x, v), with zero coefficients dropped."""
@@ -537,55 +538,27 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
                 out[m] = out.get(m, 0) + x * y
         return {m: z for m, z in out.items() if z}
 
-    witness = None
-    # each member of a failing orbit fails, so the first in product order is sorted
-    for idx in itertools.combinations_with_replacement(range(k), 3):
-        v = table.at(idx)[0]
-        if any(table.at(perm)[0] != v for perm in itertools.permutations(idx)):
-            witness = f"{[list(basis[i].elems) for i in idx]} vs permutation"
-            break
-    run("base-s3-symmetric", witness)
-
-    witness = None
-    for i, j in itertools.product(range(k), repeat=2):
-        if prod[i][j] != prod[j][i]:
-            witness = f"{name_of(i)} * {name_of(j)}"
-            break
-    run("commutative", witness)
-
-    witness = None
-    for i, j, l in itertools.product(range(k), repeat=3):
-        lhs = combine((x, prod[t][l]) for t, x in prod[i][j].items())
-        rhs = combine((y, prod[i][t]) for t, y in prod[j][l].items())
-        if lhs != rhs:
-            witness = f"({name_of(i)} * {name_of(j)}) * {name_of(l)}"
-            break
-    run("associative", witness)
-
-    witness = None
-    for j in range(k):
-        if prod[table.unit][j] != {j: 1}:
-            witness = f"unit * {name_of(j)}"
-            break
-    run("unit", witness)
-
-    witness = None
-    for i, j, l in itertools.product(range(k), repeat=3):
-        lhs = sum(x for t, x in prod[i][j].items() if dual[t] == l)
-        rhs = prod[j][l].get(dual[i], 0)
-        if lhs != rhs:
-            witness = f"<{name_of(i)} * {name_of(j)}, {name_of(l)}>"
-            break
-    run("frobenius", witness)
-
-    witness = None
-    if sorted(dual) != list(range(k)):
-        witness = "pairing matrix is not a permutation"
-    else:
-        for i in range(k):
-            if dual[dual[i]] != i:
-                witness = f"negation dual not involutive at {name_of(i)}"
-                break
-    run("pairing-nondegenerate", witness)
-
+    cube = lambda: itertools.product(range(k), repeat=3)
+    # each axiom's failures in search order; the first one found is its witness
+    searches = {
+        # each member of a failing orbit fails, so the first in product order is sorted
+        "base-s3-symmetric": (f"{[list(basis[i].elems) for i in idx]} vs permutation"
+                              for idx in itertools.combinations_with_replacement(range(k), 3)
+                              if any(table.at(perm) != table.at(idx) for perm in itertools.permutations(idx))),
+        "commutative": (f"{name_of(i)} * {name_of(j)}"
+                        for i, j in itertools.product(range(k), repeat=2) if prod[i][j] != prod[j][i]),
+        "associative": (f"({name_of(i)} * {name_of(j)}) * {name_of(l)}" for i, j, l in cube()
+                        if combine((x, prod[t][l]) for t, x in prod[i][j].items())
+                        != combine((y, prod[i][t]) for t, y in prod[j][l].items())),
+        "unit": (f"unit * {name_of(j)}" for j in range(k) if prod[table.unit][j] != {j: 1}),
+        "frobenius": (f"<{name_of(i)} * {name_of(j)}, {name_of(l)}>" for i, j, l in cube()
+                      if sum(x for t, x in prod[i][j].items() if dual[t] == l) != prod[j][l].get(dual[i], 0)),
+        "pairing-nondegenerate": (
+            iter(["pairing matrix is not a permutation"]) if sorted(dual) != list(range(k))
+            else (f"negation dual not involutive at {name_of(i)}" for i in range(k) if dual[dual[i]] != i)),
+    }
+    report = AxiomReport(p=p, n=n)
+    for name, search in searches.items():
+        witness = next(search, None)
+        report.results.append(AxiomResult(name, witness is None, witness))
     return report

@@ -161,6 +161,14 @@ def test_count_former_unknown_entry_resolves_to_two(capsys):
     assert "0,2,5 / 0,2,5 / 0,2,5 -> 2  [jacobi-trudi]" in out
 
 
+def test_count_trace_names_every_rule(capsys):
+    code, data, _ = run_json(capsys, "count", "--p", "11", "--n", "4", "--g", "2")
+    assert code == 0
+    assert data["count"] == 18755
+    rules = [row["rule"] for row in data["trace"]]
+    assert {r: rules.count(r) for r in set(rules)} == {"hyp": 1576, "jacobi-trudi": 946, "dual:hyp": 89}
+
+
 # (13, 4) at genus 3 prints a trace of about 10^5 entries; the library test covers it
 @pytest.mark.parametrize("p,n,g", [(11, 3, 2), (11, 3, 3), (13, 4, 2)])
 def test_count_on_completed_tables_matches_the_closed_form(capsys, p, n, g):

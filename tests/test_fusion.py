@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import json
@@ -122,7 +123,8 @@ def test_former_unknown_entry_resolves_to_two():
     assert engine.table.value((c, c, c)) == 2
     assert engine.count(0, [c, c, c]) == 2
     i = engine.table.index[c]
-    assert engine.used == {(i, i, i): (2, "jacobi-trudi")}
+    assert engine.used == {(i, i, i)}
+    assert (engine.table.at((i, i, i)), engine.table.source_at((i, i, i))) == (2, "jacobi-trudi")
 
 
 @pytest.mark.parametrize("p,n", [(11, 3), (11, 4), (13, 3), (13, 4)])
@@ -168,13 +170,14 @@ def test_a_cell_reads_only_the_witness_of_its_kind(monkeypatch):
     table = BaseTable(7, 5)
     h, u = 0, table.basis.index(U3)
     assert is_hyp_type(table.basis[h]) and table.source((U3, U3, U3)) == "dual:hyp"
-    assert table.at((h, h, u)) == (0, "hyp")
+    assert (table.at((h, h, u)), table.source_at((h, h, u))) == (0, "hyp")
     # make the dual witness hold at the hyp cell (h, h, u); only hyp is read there
     extra = tuple(sorted(xi(7, 2).index(comp_dual(table.basis[i])) for i in (h, h, u)))
     real = fusion._hyp_orbits
     assert extra not in real(7, 2)
     monkeypatch.setattr(fusion, "_hyp_orbits", lambda p, n: tuple(sorted(real(p, n) + (extra,))) if n == 2 else real(p, n))
-    assert BaseTable(7, 5).at((h, h, u)) == (0, "hyp")
+    table = BaseTable(7, 5)
+    assert (table.at((h, h, u)), table.source_at((h, h, u))) == (0, "hyp")
 
 
 def test_hyp_witness_refuses_a_disagreement(monkeypatch):
@@ -210,7 +213,7 @@ def test_a_negative_slot_is_refused_at_its_first_triple(monkeypatch):
             rows = list(rows)
             for t, c, b in targets:
                 if t == a:
-                    rows[dual[c]] -= (table.at((a, b, c))[0] + 1) << (w * b)
+                    rows[dual[c]] -= (table.at((a, b, c)) + 1) << (w * b)
             yield rows
 
     monkeypatch.setattr(fusion, "_closure", negated)
@@ -269,7 +272,7 @@ def _dict_closure(basis, pieri, seen):
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11) for n in range(2, p)] + [
-    (13, 2), (13, 3), (13, 4), (13, 9), (13, 10), (13, 11), (67, 65),
+    (13, 2), (13, 3), (13, 4), (13, 9), (13, 10), (13, 11), (61, 59), (67, 65),
 ])
 def test_packed_closure_matches_the_dict_closure(p, n):
     basis, dual, pieri = _pieri(p, n)
@@ -279,10 +282,10 @@ def test_packed_closure_matches_the_dict_closure(p, n):
     for a, rows in enumerate(_dict_closure(basis, pieri, seen)):
         for c, d in enumerate(dual):
             want = [(rows.get(d, {}).get(b, 0), tags[min(kinds[a], kinds[b], kinds[c])]) for b in range(k)]
-            assert [table.at((a, b, c)) for b in range(k)] == want, (a, c)
+            assert [(table.at((a, b, c)), table.source_at((a, b, c))) for b in range(k)] == want, (a, c)
     bound = fusion._minor_bound(basis, pieri)
     assert max((abs(v) for m in seen for row in m.values() for v in row.values()), default=0) <= bound
-    # only (67, 65) needs slots wider than 64 bits
+    # (61, 59) still fits 64-bit slots; (67, 65) is the first to need wider ones
     assert (bound >> 63 > 0) == (p == 67)
 
 
@@ -388,7 +391,8 @@ def test_trace_records_base_entries_used():
     engine = FusionEngine(7, 3)
     assert engine.count(0, [W5, W5, W5]) == 2
     i = engine.table.index[W5]
-    assert engine.used == {(i, i, i): (2, engine.table.source((W5, W5, W5)))}
+    assert engine.used == {(i, i, i)}
+    assert (engine.table.at((i, i, i)), engine.table.source_at((i, i, i))) == (2, engine.table.source((W5, W5, W5)))
 
 
 def test_memoized_counts_are_stable():
@@ -409,10 +413,6 @@ def _tree(table, g, key, memo):
     if got is not None:
         return got
     dual = table.dual_perm
-
-    def base(idx):
-        return table.at(idx)[0]
-
     if g > 0:
         v = sum(_tree(table, g - 1, tuple(sorted(key + (c, d))), memo) for c, d in enumerate(dual))
     elif len(key) == 0:
@@ -422,11 +422,11 @@ def _tree(table, g, key, memo):
     elif len(key) == 2:
         v = int(key[1] == dual[key[0]])
     elif len(key) == 3:
-        v = base(key)
+        v = table.at(key)
     else:
         a, b, rest = key[0], key[1], key[2:]
         v = sum(w * _tree(table, 0, tuple(sorted((d,) + rest)), memo)
-                for c, d in enumerate(dual) if (w := base((a, b, c))))
+                for c, d in enumerate(dual) if (w := table.at((a, b, c))))
     memo[(g, key)] = v
     return v
 
@@ -434,9 +434,9 @@ def _tree(table, g, key, memo):
 def _assert_used_is_read_from_the_table(engine):
     assert engine.used
     k = len(engine.basis)
-    for idx, cell in engine.used.items():
-        assert len(idx) == 3 and all(type(i) is int and 0 <= i < k for i in idx), idx
-        assert engine.table.at(idx) == cell
+    for idx in engine.used:
+        assert type(idx) is tuple and len(idx) == 3 and all(type(i) is int and 0 <= i < k for i in idx), idx
+        assert type(engine.table.at(idx)) is int, idx
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, p)] + [(11, 2), (13, 2)])
@@ -507,7 +507,7 @@ def test_evaluate_multiplication_cobordism_matches_algebra():
     i, j = 1, 4
     out = engine.evaluate(Cobordism(0, 2, 1), {(w[i], w[j]): 1})
     vec = [out.get((c,), 0) for c in w]
-    assert vec == [table.at((i, j, table.dual_perm[t]))[0] for t in range(len(w))]
+    assert vec == [table.at((i, j, table.dual_perm[t])) for t in range(len(w))]
     assert vec == [0, 1, 1, 0, 1]
 
 
@@ -559,11 +559,22 @@ def test_corrupted_table_fails_associativity():
 def test_one_ordered_cell_changed_fails_these_rows(idx, failed):
     """One cell raised by 1 without the rest of its orbit; basis[0] is the unit."""
     table = BaseTable(7, 3)
-    v, source = table.at(idx)
-    table._cells[table._slot(idx)] = (v + 1, source)
+    table._cells[table._slot(idx)] += 1
     report = check_axioms(7, 3, table)
     assert {r.name: r.witness for r in report.results if not r.passed} == failed
     assert all(r.witness is None for r in report.results if r.passed)
+
+
+@pytest.mark.parametrize("dual_perm,witness", [
+    ((0, 3, 2, 1, 1), "pairing matrix is not a permutation"),
+    ((0, 2, 3, 1, 4), "negation dual not involutive at [0, 1, 3]"),
+], ids=["not-a-permutation", "not-involutive"])
+def test_a_bad_negation_dual_fails_the_pairing_row(dual_perm, witness):
+    table = copy.copy(BaseTable(7, 3))
+    assert sorted(table.dual_perm) == list(range(5)) and table.dual_perm != dual_perm
+    table.dual_perm = dual_perm
+    result = check_axioms(7, 3, table).results[-1]
+    assert (result.name, result.passed, result.witness) == ("pairing-nondegenerate", False, witness)
 
 
 def test_check_axioms_keeps_no_record_of_the_cells_it_reads(monkeypatch):
