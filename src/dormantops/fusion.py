@@ -44,10 +44,11 @@ e_rho_1 (the unit when r = 0), multiply by M_a, (v e_a)_t =
 sum_s v_s N(s, a, dual t), for each further radius, and apply
 v -> sum_c (v e_c) e_{dual c} for every handle but the last.  The last two
 factors close by contraction: sum_s v_s N(s, a, b) at genus 0 and
-sum_c sum_s v_s N(s, c, dual c) otherwise.  Only rows in the support of v are
-read, so the cost is linear in g + r.  evaluate builds u = e_inputs h^g the
-same way and reads its output lambda as w[lambda_s], w = u e_{dual lambda_1}
-... e_{dual lambda_{s-1}}, since eps(w e_{dual c}) = w[c].  Scalars are exact.
+sum_c sum_s v_s N(s, c, dual c) otherwise.  A product reads the rows
+N(s, a, .) of the support of v, each whole, so the cost is linear in g + r.
+evaluate builds u = e_inputs h^g the same way and reads its output lambda as
+w[lambda_s], w = u e_{dual lambda_1} ... e_{dual lambda_{s-1}}, since
+eps(w e_{dual c}) = w[c].  Scalars are exact.
 """
 
 from __future__ import annotations
@@ -226,12 +227,12 @@ def _unpack(row: int, w: int, k: int) -> Sequence[int]:
 class BaseTable:
     """Resolved three-point counts over all ordered triples from Xi_{p,n}.
 
-    Each ordered triple of basis indices holds its count; at() is the only
-    reader of the counts, and source_at() derives a cell's source tag from the
-    kinds of its three classes.  The table also owns the basis data the
-    engine and check_axioms share: index maps a class to its position in
-    basis, dual_perm[i] is the index of neg_dual(basis[i]), and unit is the
-    index of the unit class [0, ..., n-1].
+    Each ordered triple of basis indices holds its count; at() reads one, _row()
+    the k counts N(i, j, .) of a product e_i e_j, and source_at() derives a
+    cell's source tag from the kinds of its three classes.  The table also owns
+    the basis data the engine and check_axioms share: index maps a class to
+    its position in basis, dual_perm[i] is the index of neg_dual(basis[i]), and
+    unit is the index of the unit class [0, ..., n-1].
     """
 
     def __init__(self, p: int, n: int):
@@ -270,6 +271,8 @@ class BaseTable:
         witnessed = [sum(((1 << w) - 1) << (w * b) for b, x in enumerate(kinds) if min(f, x) < 2) for f in range(3)]
         bias = sum(1 << (w * b + w - 1) for b in range(k))  # the top bit of every slot
         self._kinds = kinds
+        # _tags[f][l]: the tag of a cell (i, j, l) with f = min(kinds[i], kinds[j])
+        self._tags = [[_TAGS[min(f, x)] for x in kinds] for f in range(3)]
         self._manual: frozenset[tuple[int, int, int]] = frozenset()
         self._cells: list[int] = [0] * k**3
         for a, rows in enumerate(_closure(basis, pieri, w)):
@@ -297,6 +300,11 @@ class BaseTable:
         i, j, l = idx
         return (i * k + j) * k + l
 
+    def _row(self, i: int, j: int) -> list[int]:
+        """N(i, j, l) for l = 0, ..., k-1; e_i e_j has coefficient row[dual_perm[t]] at e_t."""
+        k = len(self.basis)
+        return self._cells[(i * k + j) * k:(i * k + j + 1) * k]
+
     def at(self, idx: Sequence[int]) -> int:
         """The count of an ordered triple of basis indices."""
         return self._cells[self._slot(idx)]
@@ -307,8 +315,7 @@ class BaseTable:
         i, j, l = idx
         if (i, j, l) in self._manual:
             return "manual"
-        kinds = self._kinds
-        return _TAGS[min(kinds[i], kinds[j], kinds[l])]
+        return self._tags[min(self._kinds[i], self._kinds[j])][l]
 
     def indices(self, classes: Sequence[RadiusClass]) -> tuple[int, ...]:
         """Basis indices of classes from Xi_{p,n}; ValueError for anything else."""
@@ -334,10 +341,13 @@ class BaseTable:
         return self.source_at(self._triple(triple))
 
     def entries(self) -> dict[Triple, tuple[int, str]]:
-        # the cube in product order is the order of the cells
-        cube = itertools.product(range(len(self.basis)), repeat=3)
-        return {tuple(map(self.basis.__getitem__, idx)): (v, self.source_at(idx))  # type: ignore[misc]
-                for idx, v in zip(cube, self._cells)}
+        # row by row in product order, tagged as in source_at; a manual cell keeps its place
+        basis, kinds, out = self.basis, self._kinds, {}
+        for (i, a), (j, b) in itertools.product(enumerate(basis), repeat=2):
+            tags = self._tags[min(kinds[i], kinds[j])]
+            out.update(zip(zip(itertools.repeat(a), itertools.repeat(b), basis), zip(self._row(i, j), tags)))
+        out.update({tuple(map(basis.__getitem__, idx)): (self.at(idx), "manual") for idx in self._manual})
+        return out
 
     def with_value(self, triple: Sequence[RadiusClass], value: int) -> "BaseTable":
         """Copy of the table with one entry's whole S_3 orbit replaced."""
@@ -363,36 +373,33 @@ class FusionEngine:
     """Counts over surfaces of arbitrary genus and marked points, one chain each.
 
     memo holds every answer of count, keyed by (g, sorted tuple of basis
-    indices); used holds the ordered triple of basis indices of every base
-    entry that count and evaluate read, whose value and source the table gives.
+    indices); used holds the ordered index triple of every base entry that
+    count and evaluate read, all k of each row a product reads; the table gives
+    their values and sources.
     """
 
     def __init__(self, p: int, n: int, table: BaseTable | None = None):
         self.table = _table_for(p, n, table)
-        self.p = p
-        self.n = n
         self.basis = self.table.basis
-        self.dual_perm = self.table.dual_perm
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.used: set[tuple[int, int, int]] = set()
-
-    def _entry(self, idx: tuple[int, int, int]) -> int:
-        self.used.add(idx)
-        return self.table.at(idx)
 
     def _times(self, v: dict[int, int], a: int) -> dict[int, int]:
         """The product v e_a, reading the rows of the support of v."""
         out: dict[int, int] = {}
         for s, x in v.items():
-            for t, d in enumerate(self.dual_perm):
-                w = self._entry((s, a, d))
+            row = self.table._row(s, a)
+            self.used.update([(s, a, l) for l in range(len(row))])
+            for t, d in enumerate(self.table.dual_perm):
+                w = row[d]
                 if w:
                     out[t] = out.get(t, 0) + x * w
         return out
 
     def _pair(self, v: dict[int, int], a: int, b: int) -> int:
         """eps(v e_a e_b) = sum_s v_s N(s, a, b)."""
-        return sum(x * self._entry((s, a, b)) for s, x in v.items())
+        self.used.update([(s, a, b) for s in v])
+        return sum(x * self.table.at((s, a, b)) for s, x in v.items())
 
     def _product(self, idx: Sequence[int], handles: int) -> dict[int, int]:
         """e_idx h^handles, from e_idx[0] (the unit when idx is empty) on."""
@@ -401,7 +408,7 @@ class FusionEngine:
             v = self._times(v, a)
         for _ in range(handles):
             h: dict[int, int] = {}
-            for c, d in enumerate(self.dual_perm):
+            for c, d in enumerate(self.table.dual_perm):
                 for t, y in self._times(self._times(v, c), d).items():
                     h[t] = h.get(t, 0) + y
             v = h
@@ -414,7 +421,7 @@ class FusionEngine:
             marks = key[1]
             if g:
                 v = self._product(marks, g - 1)
-                self.memo[key] = sum(self._pair(v, c, d) for c, d in enumerate(self.dual_perm))
+                self.memo[key] = sum(self._pair(v, c, d) for c, d in enumerate(self.table.dual_perm))
             else:
                 self.memo[key] = self._pair(self._product(marks[:-2], 0), *marks[-2:]) if marks else 1
         return self.memo[key]
@@ -457,7 +464,7 @@ class FusionEngine:
             layer = {(): self._product(sorted(idx), g)}
             for _ in range(s - 1):
                 layer = {lam + (c,): w for lam, v in layer.items()
-                         for c, d in enumerate(self.dual_perm) if (w := self._times(v, d))}
+                         for c, d in enumerate(self.table.dual_perm) if (w := self._times(v, d))}
             reads = ({lam + (c,): x for lam, v in layer.items() for c, x in v.items()} if s
                      else {(): layer[()].get(self.table.unit, 0)})
             for lam, x in reads.items():
@@ -517,17 +524,17 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
 
     The algebra has basis Xi_{p,n}, unit [0, ..., n-1], product
     e_i e_j = sum_t N(i, j, dual t) e_t and pairing <e_i, e_j> = 1 exactly when
-    j = dual i.  Cells are read through BaseTable.at, and each product e_i e_j
-    is taken once from that definition, with no FusionEngine, so nothing keeps
-    the k^3 cells read.  ValueError when |Xi_{p,n}| exceeds MAX_AXIOM_CLASSES.
+    j = dual i.  Each product e_i e_j is the row BaseTable._row(i, j) read through
+    the dual permutation, with no FusionEngine, so nothing keeps the k^3 cells
+    read.  ValueError when |Xi_{p,n}| exceeds MAX_AXIOM_CLASSES.
     """
     _size(p, n, MAX_AXIOM_CLASSES, "check_axioms")
     table = _table_for(p, n, table)
     basis, dual = table.basis, table.dual_perm
     k = len(basis)
     # prod[i][j] = e_i e_j as a sparse vector; no stored coefficient is zero
-    prod = [[{t: x for t, d in enumerate(dual) if (x := table.at((i, j, d)))}
-             for j in range(k)] for i in range(k)]
+    prod = [[{t: x for t, d in enumerate(dual) if (x := row[d])} for row in map(table._row, [i] * k, range(k))]
+            for i in range(k)]
     name_of = lambda i: str(list(basis[i].elems))
 
     def combine(terms) -> dict[int, int]:

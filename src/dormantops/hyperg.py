@@ -97,14 +97,6 @@ class HGOperator(_Frozen):
     def m(self) -> int:
         return len(self.beta)
 
-    def fp_lifts(self) -> tuple[list[int], list[int]]:
-        """Sorted (weakly decreasing) canonical lifts of the F_p parameters.
-
-        Fresh lists on every call, so a caller may mutate them.
-        """
-        a, b, _ = self._lifts
-        return list(a), list(b)
-
     def all_fp(self) -> bool:
         return self._lifts[2]
 

@@ -431,12 +431,57 @@ def _tree(table, g, key, memo):
     return v
 
 
-def _assert_used_is_read_from_the_table(engine):
+def _replay_reads(table, g, key):
+    """(count, cells read) of the chain of FusionEngine for the sorted key, replayed one cell at a time.
+
+    Each cell goes through one reader that records it: the reference for the
+    row reads of FusionEngine.used.  A product v e_a reads N(s, a, dual t) for
+    every t and every s in the support of v; a closing contraction reads
+    N(s, a, b) for every such s.
+    """
+    reads = set()
+    dual = table.dual_perm
+
+    def entry(idx):
+        reads.add(idx)
+        return table.at(idx)
+
+    def times(v, a):
+        out = {}
+        for s, x in v.items():
+            for t, d in enumerate(dual):
+                if w := entry((s, a, d)):
+                    out[t] = out.get(t, 0) + x * w
+        return out
+
+    def pair(v, a, b):
+        return sum(x * entry((s, a, b)) for s, x in v.items())
+
+    def product(idx, handles):
+        v = {idx[0]: 1} if idx else {table.unit: 1}
+        for a in idx[1:]:
+            v = times(v, a)
+        for _ in range(handles):
+            h = {}
+            for c, d in enumerate(dual):
+                for t, y in times(times(v, c), d).items():
+                    h[t] = h.get(t, 0) + y
+            v = h
+        return v
+
+    if g:
+        v = product(key, g - 1)
+        value = sum(pair(v, c, d) for c, d in enumerate(dual))
+    else:
+        value = pair(product(key[:-2], 0), *key[-2:]) if key else 1
+    return value, reads
+
+
+def _assert_used_is_read_from_the_table(engine, g, key):
     assert engine.used
-    k = len(engine.basis)
-    for idx in engine.used:
-        assert type(idx) is tuple and len(idx) == 3 and all(type(i) is int and 0 <= i < k for i in idx), idx
-        assert type(engine.table.at(idx)) is int, idx
+    value, reads = _replay_reads(engine.table, g, key)
+    assert engine.memo[(g, key)] == value, (g, key)
+    assert engine.used == reads, (g, key)
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, p)] + [(11, 2), (13, 2)])
@@ -453,7 +498,7 @@ def test_chain_equals_the_gluing_tree(p, n):
                 assert got == _tree(table, g, key, memo), (g, key)
                 assert engine.memo == {(g, key): got}
                 if g or r >= 3:
-                    _assert_used_is_read_from_the_table(engine)
+                    _assert_used_is_read_from_the_table(engine, g, key)
 
 
 @pytest.mark.parametrize("p,n", [(11, 3), (13, 3)])
@@ -469,7 +514,7 @@ def test_chain_equals_the_gluing_tree_on_complete_tables(p, n):
         key = tuple(sorted(rng.randrange(k) for _ in range(r)))
         engine = FusionEngine(p, n, table)
         assert engine.count(g, [table.basis[i] for i in key]) == _tree(table, g, key, memo), (g, key)
-        _assert_used_is_read_from_the_table(engine)
+        _assert_used_is_read_from_the_table(engine, g, key)
 
 
 def test_duality_swaps_rank_and_corank():
@@ -626,8 +671,12 @@ def test_with_value_replaces_the_whole_orbit_in_a_copy():
         assert bad.value(perm) == 7
         assert bad.source(perm) == "manual"
     assert table.entries() == before
-    changed = {t for t, got in bad.entries().items() if got != before[t]}
+    after = bad.entries()
+    changed = {t for t, got in after.items() if got != before[t]}
     assert changed == set(itertools.permutations(triple))
+    # the manual cells keep their place in product order and their own tag
+    assert list(after) == list(before)
+    assert all(after[t] == (7, "manual") for t in changed)
 
 
 P5_A = canonical(5, (0, 1))

@@ -13,7 +13,7 @@ import pytest
 import dormantops
 from dormantops import hyperg
 from dormantops.fp import Generic
-from dormantops.fusion import AxiomReport, AxiomResult, Cobordism
+from dormantops.fusion import AxiomReport, AxiomResult, Cobordism, FusionEngine
 from dormantops.hyperg import HGOperator, new_operator
 from dormantops.radii import RadiusClass
 
@@ -190,7 +190,10 @@ def test_validation_messages(build, message):
 
 @pytest.mark.parametrize(
     "owner, name",
-    [(dormantops, "pcurvature_sum_test"), (hyperg, "pcurvature_sum_test"), (RadiusClass, "to_json"), (RadiusClass, "from_json")],
+    [(dormantops, "pcurvature_sum_test"), (hyperg, "pcurvature_sum_test"), (RadiusClass, "to_json"), (RadiusClass, "from_json"),
+     (HGOperator, "fp_lifts")]
+    # the engine's copies of its table's p, n and dual_perm, looked for on an instance
+    + [pytest.param(FusionEngine(7, 3), name, id=f"FusionEngine-{name}") for name in ("p", "n", "dual_perm")],
 )
 def test_removed_public_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
