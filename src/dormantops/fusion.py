@@ -373,23 +373,33 @@ class FusionEngine:
     """Counts over surfaces of arbitrary genus and marked points, one chain each.
 
     memo holds every answer of count, keyed by (g, sorted tuple of basis
-    indices); used holds the ordered index triple of every base entry that
-    count and evaluate read, all k of each row a product reads; the table gives
-    their values and sources.
+    indices).  The engine records the rows (s, a) that products read and the
+    cells (s, a, b) that closing contractions read; used builds from them, on
+    each read, the ordered index triple of every base entry that count and
+    evaluate read, all k of each row.  The table gives their values and sources.
     """
 
     def __init__(self, p: int, n: int, table: BaseTable | None = None):
         self.table = _table_for(p, n, table)
         self.basis = self.table.basis
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.used: set[tuple[int, int, int]] = set()
+        self._read_rows: set[tuple[int, int]] = set()
+        self._read_cells: set[tuple[int, int, int]] = set()
+
+    @property
+    def used(self) -> set[tuple[int, int, int]]:
+        """The index triples of the base entries read so far, a new set on each read."""
+        cols = range(len(self.basis))
+        used = {(s, a, l) for s, a in self._read_rows for l in cols}
+        used.update(self._read_cells)
+        return used
 
     def _times(self, v: dict[int, int], a: int) -> dict[int, int]:
         """The product v e_a, reading the rows of the support of v."""
         out: dict[int, int] = {}
         for s, x in v.items():
             row = self.table._row(s, a)
-            self.used.update([(s, a, l) for l in range(len(row))])
+            self._read_rows.add((s, a))
             for t, d in enumerate(self.table.dual_perm):
                 w = row[d]
                 if w:
@@ -398,7 +408,7 @@ class FusionEngine:
 
     def _pair(self, v: dict[int, int], a: int, b: int) -> int:
         """eps(v e_a e_b) = sum_s v_s N(s, a, b)."""
-        self.used.update([(s, a, b) for s in v])
+        self._read_cells.update([(s, a, b) for s in v])
         return sum(x * self.table.at((s, a, b)) for s, x in v.items())
 
     def _product(self, idx: Sequence[int], handles: int) -> dict[int, int]:

@@ -15,13 +15,14 @@ forward elimination, independent of the closed form; the two are kept as
 separate code paths on purpose and compared in tests.
 
 The oracle brings these rows to row echelon form by forward elimination that
-makes no use of the bidiagonal pattern, and root_basis reads null vectors off
-it by back substitution.  There is one elimination per operator: oracle_rank
-and root_basis share it through a cached property of the operator, as the
-closed form and has_full_solutions share the sorted parameter lifts through
-another.  The oracle reads nothing from the lifts.  On an operator matrix it
-reduces each row at most once, so its cost grows about as p; it refuses p
-above MAX_ORACLE_P.
+makes no use of the bidiagonal pattern, keeping its unit-pivot rows in a dict
+keyed by pivot column.  root_basis reads one null vector off it per free
+column by back substitution over the pivot rows left of that column.  There is
+one elimination per operator: oracle_rank and root_basis share it through a
+cached property of the operator, as the closed form and has_full_solutions
+share the sorted parameter lifts through another.  The oracle reads nothing
+from the lifts.  On an operator matrix it reduces each row at most once, so
+its cost grows about as p; it refuses p above MAX_ORACLE_P.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ class HGOperator(_Frozen):
         return a, b, len(a) + len(b) == len(self.alpha) + len(self.beta)
 
     @cached_property
-    def _row_echelon(self) -> tuple[list[dict[int, int]], list[int]]:
-        """(rows, pivots) of matrix(self) in row echelon form, eliminated once.
+    def _row_echelon(self) -> dict[int, dict[int, int]]:
+        """The pivot rows of matrix(self) in row echelon form, keyed by pivot
+        column, eliminated once.
 
         Stored in the instance dict but not among the fields, so equality and
         hashing are unchanged.  Callers must not mutate the rows.  Raises
@@ -217,7 +219,7 @@ def matrix(op: HGOperator) -> list[dict[int, int]]:
     return rows
 
 
-def _echelon(rows: list[dict[int, int]], p: int) -> tuple[list[dict[int, int]], list[int]]:
+def _echelon(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Row echelon form over F_p by general sparse forward elimination, in place.
 
     Each row is a dict from column to nonzero residue, and the rows may have
@@ -225,9 +227,8 @@ def _echelon(rows: list[dict[int, int]], p: int) -> tuple[list[dict[int, int]], 
     reduced by the pivot rows kept so far, keyed by pivot column, until its
     least column has no pivot row; unless it cancelled to nothing, it is then
     scaled by pow(entry, -1, p) so its pivot is 1, and kept.  Entries that
-    cancel are dropped, so every stored entry is nonzero.
-    Returns (rows, pivots): rows 0..len(pivots)-1 are the pivot rows in
-    increasing pivot column, the rest are empty.
+    cancel are dropped, so every stored entry is nonzero.  Returns the kept
+    rows keyed by pivot column: row c has least column c, where its entry is 1.
     """
     kept: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -247,8 +248,7 @@ def _echelon(rows: list[dict[int, int]], p: int) -> tuple[list[dict[int, int]], 
                     row[j] = x
                 else:
                     del row[j]
-    pivots = sorted(kept)
-    return [kept[c] for c in pivots] + [{} for _ in range(len(rows) - len(pivots))], pivots
+    return kept
 
 
 def oracle_rank(op: HGOperator) -> int:
@@ -257,13 +257,12 @@ def oracle_rank(op: HGOperator) -> int:
 
     The p x p matrix, as sparse rows, is brought to row echelon form once per
     operator (shared with root_basis), and the rank is p minus the number of
-    pivots.  The elimination ignores the bidiagonal block structure and
+    pivot rows.  The elimination ignores the bidiagonal block structure and
     reads nothing from t_set or the sorted lifts; this is the independent
     check against the closed form.  Raises ValueError for p above
     MAX_ORACLE_P.
     """
-    _, pivots = op._row_echelon
-    return op.p - len(pivots)
+    return op.p - len(op._row_echelon)
 
 
 def apply(op: HGOperator, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -296,22 +295,23 @@ def root_basis(op: HGOperator) -> list[tuple[int, ...]]:
 
     Uses the operator's row echelon form from general sparse forward
     elimination, independent of the closed form, computed once per operator
-    (shared with oracle_rank).  There is one null vector per free column, in
-    increasing column order: 1 at its own free column, 0 at the other free
-    columns, and the pivot entries found by back substitution over each pivot
-    row's nonzeros.  Raises ValueError for p above MAX_ORACLE_P.
+    (shared with oracle_rank).  There is one null vector per free column, a
+    column with no pivot row, in increasing column order: 1 at its free column,
+    0 at the other free columns, and the pivot entries found by back
+    substitution over the pivot rows left of the free column.  A row right of
+    it reads only entries that are still 0, so its pivot entry is 0 as well.
+    Raises ValueError for p above MAX_ORACLE_P.
     """
-    rows, pivots = op._row_echelon
-    p = op.p
-    pivot_set = set(pivots)
-    back = list(zip(pivots, rows))[::-1]
+    kept, p = op._row_echelon, op.p
+    rows = sorted(kept.items())
     basis = []
     for free in range(p):
-        if free in pivot_set:
+        if free in kept:
             continue
         vec = [0] * p
         vec[free] = 1
-        for c, row in back:
+        # each column left of free is a pivot or a free column already in basis
+        for c, row in reversed(rows[:free - len(basis)]):
             # the pivot entry is 1 and vec[c] is still 0, so the sum over the
             # whole row is the sum right of the pivot
             x = 0

@@ -217,18 +217,18 @@ def is_hyp_type(c: RadiusClass) -> bool:
     return any(t[: n - 1] == prefix for t in _zero_translates(c.p, c.elems))
 
 
-def interleavings(p: int, n: int):
-    """Yield (alpha_lifts, beta_lifts) chains p >= a1 >= b1 > a2 >= ... > b_{n-1} > a_n >= 1.
+def interleavings(p: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The chains p >= a1 >= b1 > a2 >= ... > b_{n-1} > a_n >= 1 as (alpha_lifts, beta_lifts).
 
     Adding to each entry the number of weak steps at or after it makes the
     chain strictly decreasing in [1, p + n - 1], so the chains are the
     (2n-1)-subsets of that range, taken in descending lexicographic order.
+    Returns an iterator; (p, n) is checked when called, before the first chain.
     """
     _check_pn(p, n, least=2)
     weak = [n - 1 - (j + 1) // 2 for j in range(2 * n - 1)]
-    for c in itertools.combinations(range(p + n - 1, 0, -1), 2 * n - 1):
-        chain = tuple(map(sub, c, weak))
-        yield chain[0::2], chain[1::2]
+    chains = (tuple(map(sub, c, weak)) for c in itertools.combinations(range(p + n - 1, 0, -1), 2 * n - 1))
+    return ((chain[0::2], chain[1::2]) for chain in chains)
 
 
 def _xi_index(p: int, index: dict[tuple[int, ...], int], es: Sequence[int]) -> int:

@@ -44,9 +44,9 @@ and the residues are lifted by CRT to the symmetric residue mod M, which is
 the count since 0 < count <= B < M/2.  A lift outside (0, B] contradicts
 the proof and raises ArithmeticError.
 
-verlinde_sum refuses p above MAX_SUM_P, p (g - 1) above
-MAX_SUM_P (MAX_SUM_P - 1) and |T| = |Xi_{p,n}| above MAX_SUM_CLASSES before
-any work.  verlinde_count checks (p, n) first, then applies the validity
+verlinde_sum refuses p above MAX_SUM_P, |T| = |Xi_{p,n}| above MAX_SUM_CLASSES
+and (n^2 - 1)(g - 1) bits(p) above its value at (MAX_SUM_P, 2, MAX_SUM_P)
+before any work.  verlinde_count checks (p, n) first, then applies the validity
 window g >= 2, p > n * max(g-1, 2).
 """
 
@@ -69,20 +69,18 @@ __all__ = [
 
 # Largest p verlinde_sum runs at; it also bounds the genus.  Each residue
 # prime costs about p/2 modular powers, and the number of primes grows with
-# the bits of B, about (n^2 - 1)(g - 1) log2(p); the sum refuses p (g - 1)
-# above MAX_SUM_P (MAX_SUM_P - 1).  That bounds the number of primes only for
-# n <= 2: past it the factor n^2 - 1 grows, and so does the cost per prime of
-# walking T.  Inside the validity window g - 1 < p/n, so p (g - 1) <= p (p - 1)
-# stays within that limit.  On a shared 2-vCPU Intel Xeon under CPython 3.11,
-# whose speed varies about twofold, (257, 1, 257) takes 0.01 s and
-# (257, 2, 257), both at the limit, 0.2 s, and (257, 2, 129) 0.06 s, while
-# (257, 2, 2000) would take 1.1-1.6 s.  Along the window's edge the work grows
-# about as p^2: (509, 2, 254) would take 0.3 s and (1009, 2, 504) 1.2 s.
-# Outside the window, which verlinde_count and so the CLI enforce, the genus
-# rule admits sums that run for up to a minute once n >= 4: (113, 3, 583),
-# with a B of 24,782 bits, takes 0.6-0.9 s, (41, 4, 1605) (90,418 bits)
-# 3.6-4.3 s, (13, 6, 5061) (351,755 bits) 5.9-6.0 s and (17, 8, 3871)
-# (563,135 bits) 56-62 s.
+# the bits of B, at most (n^2 - 1)(g - 1) bits(p) plus those of |T|.  The sum
+# refuses (n^2 - 1)(g - 1) p.bit_length() above its value at
+# (MAX_SUM_P, 2, MAX_SUM_P), 3 * 256 * 9 = 6,912, without forming B.  Inside
+# the validity window g - 1 < p/n, so the rule's left side stays below
+# n p bits(p), at most 3,456 for the inputs MAX_SUM_CLASSES admits.  On a
+# shared 2-vCPU Intel Xeon under CPython 3.11, whose speed varies about
+# twofold, (257, 1, 257) takes 0.01 s and (257, 2, 257), at the limit, 0.2 s,
+# and (257, 2, 129) 0.06 s; (257, 2, 300) is refused.  Along the window's edge
+# the work grows about as p^2: (509, 2, 254) would take 0.3 s and
+# (1009, 2, 504) 1.2 s.  Outside the window, which verlinde_count and so the
+# CLI enforce, the rule refuses (113, 3, 583), which would take 0.6-0.9 s,
+# (41, 4, 1605) 3.6-4.9 s, (13, 6, 5061) 5.9-6.0 s and (17, 8, 3871) 56-62 s.
 MAX_SUM_P = 257
 # Largest |T| = |Xi_{p,n}| verlinde_sum walks.  Each residue prime costs
 # n(n-1)/2 products per subset.  The slowest inputs inside the validity window
@@ -113,26 +111,28 @@ def _primes(p: int) -> Iterator[int]:
 def verlinde_sum(p: int, n: int, g: int) -> int:
     """The bare closed-form sum, an int, with no validity window applied.
 
-    ValueError when p exceeds MAX_SUM_P, p (g - 1) exceeds
-    MAX_SUM_P (MAX_SUM_P - 1), or |T| = |Xi_{p,n}| exceeds MAX_SUM_CLASSES,
-    before any work.  ArithmeticError when the lifted sum falls outside its
-    proved range (module docstring).
+    ValueError when p exceeds MAX_SUM_P, |T| = |Xi_{p,n}| exceeds
+    MAX_SUM_CLASSES, or (n^2 - 1)(g - 1) p.bit_length() exceeds its value at
+    (MAX_SUM_P, 2, MAX_SUM_P), before any work.  ArithmeticError when the
+    lifted sum falls outside its proved range (module docstring).
     """
     _check_pn(p, n)
     if type(g) is not int or g < 1:
         raise ValueError(f"need genus >= 1, got {g}")
     if p > MAX_SUM_P:
         raise ValueError(f"p={p} is over the limit of {MAX_SUM_P} for the closed-form sum")
-    if p * (g - 1) > MAX_SUM_P * (MAX_SUM_P - 1):
-        raise ValueError(
-            f"p*(g-1) = {p * (g - 1)} at p={p}, g={g} is over the limit of "
-            f"{MAX_SUM_P * (MAX_SUM_P - 1)} for the closed-form sum"
-        )
     k = xi_size(p, n)
     if k > MAX_SUM_CLASSES:
         raise ValueError(
             f"the closed-form sum at p={p}, n={n} walks {k} subsets, "
             f"over the limit of {MAX_SUM_CLASSES}"
+        )
+    bits = (n * n - 1) * (g - 1) * p.bit_length()
+    limit = 3 * (MAX_SUM_P - 1) * MAX_SUM_P.bit_length()
+    if bits > limit:
+        raise ValueError(
+            f"(n^2-1)*(g-1)*bits(p) = {bits} at p={p}, n={n}, g={g} is over the limit of "
+            f"{limit} for the closed-form sum"
         )
     e = g - 1
     bound = _bound(p, n, g)

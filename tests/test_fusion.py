@@ -431,13 +431,12 @@ def _tree(table, g, key, memo):
     return v
 
 
-def _replay_reads(table, g, key):
-    """(count, cells read) of the chain of FusionEngine for the sorted key, replayed one cell at a time.
+def _replayer(table):
+    """(reads, entry, times, product): the chain's steps on table, each cell read
+    one at a time through entry, which records it in reads.
 
-    Each cell goes through one reader that records it: the reference for the
-    row reads of FusionEngine.used.  A product v e_a reads N(s, a, dual t) for
-    every t and every s in the support of v; a closing contraction reads
-    N(s, a, b) for every such s.
+    The reference for the row reads of FusionEngine.used.  A product v e_a
+    reads N(s, a, dual t) for every t and every s in the support of v.
     """
     reads = set()
     dual = table.dual_perm
@@ -454,9 +453,6 @@ def _replay_reads(table, g, key):
                     out[t] = out.get(t, 0) + x * w
         return out
 
-    def pair(v, a, b):
-        return sum(x * entry((s, a, b)) for s, x in v.items())
-
     def product(idx, handles):
         v = {idx[0]: 1} if idx else {table.unit: 1}
         for a in idx[1:]:
@@ -469,12 +465,36 @@ def _replay_reads(table, g, key):
             v = h
         return v
 
+    return reads, entry, times, product
+
+
+def _replay_reads(table, g, key):
+    """(count, cells read) of the chain of FusionEngine.count for the sorted key,
+    replayed one cell at a time; a closing contraction reads N(s, a, b) for
+    every s in the support of v."""
+    reads, entry, _, product = _replayer(table)
+
+    def pair(v, a, b):
+        return sum(x * entry((s, a, b)) for s, x in v.items())
+
     if g:
         v = product(key, g - 1)
-        value = sum(pair(v, c, d) for c, d in enumerate(dual))
+        value = sum(pair(v, c, d) for c, d in enumerate(table.dual_perm))
     else:
         value = pair(product(key[:-2], 0), *key[-2:]) if key else 1
     return value, reads
+
+
+def _replay_evaluate_reads(table, cob, keys):
+    """The cells FusionEngine.evaluate reads for input keys of basis indices,
+    replayed one cell at a time: u = e_key h^g, then u e_{dual c_1} ... for
+    every output but the last, whose coefficients are read off without the table."""
+    reads, _, times, product = _replayer(table)
+    for key in keys:
+        layer = [product(sorted(key), cob.genus)]
+        for _ in range(cob.n_out - 1):
+            layer = [w for v in layer for d in table.dual_perm if (w := times(v, d))]
+    return reads
 
 
 def _assert_used_is_read_from_the_table(engine, g, key):
@@ -515,6 +535,22 @@ def test_chain_equals_the_gluing_tree_on_complete_tables(p, n):
         engine = FusionEngine(p, n, table)
         assert engine.count(g, [table.basis[i] for i in key]) == _tree(table, g, key, memo), (g, key)
         _assert_used_is_read_from_the_table(engine, g, key)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 3)])
+@pytest.mark.parametrize("cob", [
+    Cobordism(0, 1, 0), Cobordism(0, 0, 1),  # the disk: counit and unit
+    Cobordism(0, 1, 1), Cobordism(0, 2, 0), Cobordism(0, 0, 2),  # the cylinder
+    Cobordism(0, 2, 1), Cobordism(0, 1, 2),  # the pair of pants
+    Cobordism(1, 1, 1),
+], ids=repr)
+def test_used_after_evaluate_is_read_from_the_table(p, n, cob):
+    table = BaseTable(p, n)
+    keys = list(itertools.product(range(len(table.basis)), repeat=cob.n_in))
+    engine = FusionEngine(p, n, table)
+    engine.evaluate(cob, {tuple(table.basis[i] for i in key): 1 for key in keys})
+    assert engine.used == _replay_evaluate_reads(table, cob, keys)
+    assert bool(engine.used) == (cob.genus > 0 or cob.n_in > 1 or cob.n_out > 1)
 
 
 def test_duality_swaps_rank_and_corank():

@@ -375,8 +375,8 @@ def test_root_basis_free_column_shape():
 
 def test_echelon_on_dense_matrices():
     """The elimination is general: on dense rectangular matrices, fed as sparse
-    rows, its rank matches a brute-force null-vector count, and its rows are in
-    echelon form with unit pivots."""
+    rows, its rank matches a brute-force null-vector count, and it keeps one
+    row per pivot column, whose least column that is, with a unit pivot."""
     rng = random.Random(3)
     mats = [
         (5, [[0, 0, 0], [2, 0, 1], [0, 0, 0]]),
@@ -396,15 +396,33 @@ def test_echelon_on_dense_matrices():
             if not any(sum(a * b for a, b in zip(row, v)) % p for row in mat)
         )
         sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
-        rows, pivots = hyperg._echelon(sparse, p)
-        assert len(rows) == nrows
-        assert null == p ** (ncols - len(pivots)), (p, mat)
-        assert pivots == sorted(set(pivots))
-        for r, row in enumerate(rows):
-            assert all(0 < x < p for x in row.values()), (p, mat, rows)
-            if r < len(pivots):
-                c = pivots[r]
-                assert min(row) == c and row[c] == 1, (p, mat, rows)
-                assert all(c not in rows[i] for i in range(r + 1, nrows)), (p, mat, rows)
-            else:
-                assert not row, (p, mat, rows)
+        kept = hyperg._echelon(sparse, p)
+        assert len(kept) <= nrows
+        assert null == p ** (ncols - len(kept)), (p, mat)
+        for c, row in kept.items():
+            assert all(0 < x < p for x in row.values()), (p, mat, kept)
+            assert min(row) == c and row[c] == 1, (p, mat, kept)
+
+
+class _LoggedRow(dict):
+    """A pivot row that logs its pivot column each time its entries are read."""
+
+    def __init__(self, c, row, log):
+        super().__init__(row)
+        self.c, self.log = c, log
+
+    def items(self):
+        self.log.append(self.c)
+        return super().items()
+
+
+@pytest.mark.parametrize("p,alpha,beta", [(7, (6, 4, 2), (5, 3)), (13, (3, 9, 11), (2, 5)), (101, (40, 7), (20,))])
+def test_root_basis_reads_only_the_pivot_rows_left_of_each_free_column(p, alpha, beta):
+    op = new_operator(p, alpha, beta)
+    log = []
+    kept = {c: _LoggedRow(c, row, log) for c, row in op._row_echelon.items()}
+    op.__dict__["_row_echelon"] = kept
+    assert root_basis(op) == root_basis(new_operator(p, alpha, beta))
+    free = [c for c in range(p) if c not in kept]
+    assert len(free) >= 2
+    assert log == [c for f in free for c in sorted(kept, reverse=True) if c < f]

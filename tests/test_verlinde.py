@@ -233,8 +233,41 @@ def test_sum_refuses_a_large_genus_before_any_work(monkeypatch, g):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("p,n,g", [(257, 2, 300), (113, 3, 583), (41, 4, 1605), (13, 6, 5061), (17, 8, 3871)])
+def test_bits_rule_refuses_a_large_bound_before_any_work(monkeypatch, p, n, g):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(verlinde, "_bound", no_work)
+    monkeypatch.setattr(verlinde, "_zero_sum_subsets", no_work)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over the limit of 6912 for the closed-form sum"):
+        verlinde_sum(p, n, g)
+    assert time.perf_counter() - start < 1
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_bits_rule_admits_the_validity_window_and_every_input_used(monkeypatch):
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(verlinde, "_bound", admitted)
+    window = [(p, n, g) for p in range(3, MAX_SUM_P + 1) if is_odd_prime(p)
+              for n in range(1, p) if xi_size(p, n) <= MAX_SUM_CLASSES
+              for g in range(2, p // n + 2) if p > n * max(g - 1, 2)]
+    assert len(window) == 10012 and (257, 2, 129) in window
+    # outside the window: the edge, and the closed genera of the tests, CI and benchmark
+    edge = [(257, 1, 257), (257, 2, 257), (5, 2, 400), (7, 3, 14), (7, 4, 12), (11, 2, 8), (13, 2, 7), (17, 8, 3)]
+    for p, n, g in window + edge:
+        with pytest.raises(_Admitted):
+            verlinde_sum(p, n, g)
+
+
 def test_genus_bound_admits_its_edge():
-    # p (g - 1) = MAX_SUM_P (MAX_SUM_P - 1) at both 257 inputs
+    # (n^2 - 1)(g - 1) bits(p) is 0 at (257, 1, 257) and the limit at (257, 2, 257)
     assert verlinde_sum(257, 1, 257) == 1
     assert verlinde_sum(257, 2, 257) > 0
     assert verlinde_sum(5, 2, 400) == FusionEngine(5, 2).count(400, [])
