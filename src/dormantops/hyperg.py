@@ -19,10 +19,11 @@ makes no use of the bidiagonal pattern, keeping its unit-pivot rows in a dict
 keyed by pivot column.  root_basis reads one null vector off it per free
 column by back substitution over the pivot rows left of that column.  There is
 one elimination per operator: oracle_rank and root_basis share it through a
-cached property of the operator, as the closed form and has_full_solutions
-share the sorted parameter lifts through another.  The oracle reads nothing
-from the lifts.  On an operator matrix it reduces each row at most once, so
-its cost grows about as p; it refuses p above MAX_ORACLE_P.
+cached property of the operator.  The closed form counts, for each alpha lift,
+the beta lifts above it, with no sort and no cache.  The two paths share only
+all_fp, a check on the raw parameters.  On an operator matrix the elimination
+reduces each row at most once, so its cost grows about as p; it refuses p
+above MAX_ORACLE_P.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class HGOperator(_Frozen):
     __match_args__ = ("p", "alpha", "beta")
 
     def __init__(self, p: int, alpha: tuple[Parameter, ...], beta: tuple[Parameter, ...]) -> None:
-        # straight into the instance dict, which the cached properties below
-        # create anyway; an object.__setattr__ per field costs twice as long
+        # straight into the instance dict, where _row_echelon is cached too;
+        # an object.__setattr__ per field costs twice as long
         d = self.__dict__
         d["p"] = p
         d["alpha"] = alpha
@@ -99,20 +100,8 @@ class HGOperator(_Frozen):
         return len(self.beta)
 
     def all_fp(self) -> bool:
-        return self._lifts[2]
-
-    @cached_property
-    def _lifts(self) -> tuple[list[int], list[int], bool]:
-        """(alpha lifts, beta lifts, all-F_p flag), one sort per side.
-
-        The lift of residue q is q or p, in {1, ..., p}; Generic tokens have
-        none.  Stored in the instance dict like _row_echelon, so equality and
-        hashing are unchanged.  Callers must not mutate the lists.
-        """
-        p = self.p
-        a = sorted([q or p for q in self.alpha if not isinstance(q, Generic)], reverse=True)
-        b = sorted([q or p for q in self.beta if not isinstance(q, Generic)], reverse=True)
-        return a, b, len(a) + len(b) == len(self.alpha) + len(self.beta)
+        """True when no parameter is a Generic token."""
+        return not any(isinstance(q, Generic) for q in self.alpha + self.beta)
 
     @cached_property
     def _row_echelon(self) -> dict[int, dict[int, int]]:
@@ -146,24 +135,16 @@ def gauss(p: int, a: object, b: object, c: object) -> HGOperator:
 
 
 def t_set(op: HGOperator) -> frozenset[int]:
-    """Indices of lift gaps holding at least one alpha lift.
+    """For each F_p alpha, the number of F_p beta lifts above its lift.
 
-    Gap j (for j = 0..m') collects lifts l with beta-lift_j > l >= beta-lift_{j+1},
-    where the beta lifts are sorted weakly decreasing over the F_p entries and
-    the sentinels are beta-lift_0 = p+1 and beta-lift_{m'+1} = 1.  The kernel
-    rank equals the number of occupied gaps.
+    The lift of residue q is q or p, in {1, ..., p}; Generic tokens on either
+    side are skipped.  The m' beta lifts cut {1, ..., p} into gaps 0..m', and
+    an alpha lift with j beta lifts above it lies in gap j.  The kernel rank
+    equals the number of distinct counts, the number of occupied gaps.
     """
-    alpha_lifts, beta_lifts, _ = op._lifts
-    hit = set()
-    for a in alpha_lifts:
-        # the beta lifts decrease, so a lies in gap j, the number of them above a
-        j = 0
-        for b in beta_lifts:
-            if b <= a:
-                break
-            j += 1
-        hit.add(j)
-    return frozenset(hit)
+    p = op.p
+    beta_lifts = [q or p for q in op.beta if not isinstance(q, Generic)]
+    return frozenset(sum(b > (a or p) for b in beta_lifts) for a in op.alpha if not isinstance(a, Generic))
 
 
 def kernel_rank(op: HGOperator) -> int:
@@ -174,22 +155,17 @@ def kernel_rank(op: HGOperator) -> int:
 def has_full_solutions(op: HGOperator) -> bool:
     """True when the solution space has the maximal possible rank n.
 
-    Requires every parameter in F_p and m = n-1; then the closed form has n
-    alpha lifts in m+1 = n gaps, so the rank is n exactly when each gap holds
-    one lift.  With the lifts sorted, that is the interleaving chain
-    a_1 >= b_1 > a_2 >= b_2 > ... > b_{n-1} > a_n.
+    Requires every parameter in F_p and m = n-1; then the closed form counts
+    0..n-1 beta lifts above each of the n alpha lifts, so the rank is n exactly
+    when the n counts are distinct.  In decreasing order, the lifts then form
+    the interleaving chain a_1 >= b_1 > a_2 >= b_2 > ... > b_{n-1} > a_n.
     """
     return op.all_fp() and op.m == op.n - 1 and kernel_rank(op) == op.n
 
 
-def _require_fp(op: HGOperator) -> tuple[list[int], list[int]]:
-    # every parameter is a residue or a Generic; checked here, not read from
-    # op.all_fp(), so the oracle shares nothing with the closed form's lifts
-    avals = [q for q in op.alpha if not isinstance(q, Generic)]
-    bvals = [q for q in op.beta if not isinstance(q, Generic)]
-    if len(avals) + len(bvals) < len(op.alpha) + len(op.beta):
+def _require_fp(op: HGOperator) -> None:
+    if not op.all_fp():
         raise GenericParameterError("operation needs all parameters in F_p")
-    return avals, bvals
 
 
 def matrix(op: HGOperator) -> list[dict[int, int]]:
@@ -199,8 +175,8 @@ def matrix(op: HGOperator) -> list[dict[int, int]]:
     for l < p-1, Q(l) at column l+1; column s is the image of x^s.  The rows
     are fresh on every call, so _echelon may eliminate them in place.
     """
-    avals, bvals = _require_fp(op)
-    p = op.p
+    _require_fp(op)
+    p, avals, bvals = op.p, op.alpha, op.beta
     rows = []
     for l in range(p):
         row = {}
@@ -258,9 +234,8 @@ def oracle_rank(op: HGOperator) -> int:
     The p x p matrix, as sparse rows, is brought to row echelon form once per
     operator (shared with root_basis), and the rank is p minus the number of
     pivot rows.  The elimination ignores the bidiagonal block structure and
-    reads nothing from t_set or the sorted lifts; this is the independent
-    check against the closed form.  Raises ValueError for p above
-    MAX_ORACLE_P.
+    reads nothing from t_set or the lifts; this is the independent check
+    against the closed form.  Raises ValueError for p above MAX_ORACLE_P.
     """
     return op.p - len(op._row_echelon)
 
@@ -269,12 +244,16 @@ def apply(op: HGOperator, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Image of sum_s coeffs[s] x^s under the scaled operator, via the recurrence.
 
     Independent of matrix(): P and Q are re-evaluated inline.  Output
-    coefficient t is P(t) c_t + Q(t) c_{t+1}.
+    coefficient t is P(t) c_t + Q(t) c_{t+1}.  Raises TypeError for a
+    coefficient that is not an int, before any arithmetic.
     """
-    avals, bvals = _require_fp(op)
-    p = op.p
+    _require_fp(op)
+    p, avals, bvals = op.p, op.alpha, op.beta
     if len(coeffs) != p:
         raise ValueError(f"coefficient vector length must be {p}")
+    for c in coeffs:
+        if not isinstance(c, int):
+            raise TypeError(f"not a coefficient: {c!r}")
     out = []
     for t in range(p):
         prod = 1

@@ -80,8 +80,11 @@ class RadiusClass(_Frozen):
         n = len(elems)
         if not 1 <= n < p:
             raise ValueError(f"class size must satisfy 1 <= n < p, got n={n}, p={p}")
-        if any(not isinstance(e, int) or not 0 <= e < p for e in elems):
-            raise ValueError(f"entries out of range for p={p}: {elems}")
+        for e in elems:
+            if not isinstance(e, int):
+                raise TypeError(f"not a residue: {e!r}")
+            if not 0 <= e < p:
+                raise ValueError(f"entries out of range for p={p}: {elems}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "elems", elems)
         # the hash of the field tuple, computed here once, not on every call
@@ -131,9 +134,13 @@ def _lexmin_translate(p: int, elems: Sequence[int]) -> tuple[int, ...]:
 
 
 def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
-    """Canonical class of a multiset of residues (any representative accepted)."""
+    """Canonical class of a multiset of residues (any int representative accepted)."""
     check_odd_prime(p)
-    es = [e % p for e in elems]
+    es = []
+    for e in elems:
+        if not isinstance(e, int):
+            raise TypeError(f"not a residue: {e!r}")
+        es.append(e % p)
     if not 1 <= len(es) < p:
         raise ValueError(f"class size must satisfy 1 <= n < p, got n={len(es)}, p={p}")
     return RadiusClass._from_lexmin(p, _lexmin_translate(p, es))

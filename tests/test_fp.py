@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 import dormantops
 from dormantops import fp
 from dormantops.fp import PRIME_TEST_BOUND, Generic, check_odd_prime, is_odd_prime
-from dormantops.hyperg import new_operator
+from dormantops.hyperg import new_operator, t_set
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -58,29 +58,33 @@ def test_reduce_wraps_mod_p():
 
 
 def test_lift_sends_zero_to_p():
-    """The canonical lift lives in {1, ..., p}, so the zero residue lifts to p."""
-    assert new_operator(7, (0, 1, 6), (0,))._lifts[:2] == ([7, 6, 1], [7])
-    assert new_operator(5, (5,), (1,))._lifts[:2] == ([5], [1])
+    """The canonical lift lives in {1, ..., p}, so the zero residue lifts to p.
+
+    t_set counts the beta lifts above each alpha lift: an alpha 0 (lift 7) has
+    no beta lift above it, and a beta 0 lies above every other alpha lift.
+    """
+    assert t_set(new_operator(7, (0,), (6,))) == {0}
+    assert t_set(new_operator(7, (6,), (0,))) == {1}
+    assert t_set(new_operator(7, (0, 1, 6), (0,))) == {0, 1}
+    assert t_set(new_operator(5, (5,), (1,))) == {0}
 
 
-@given(st.integers(-1000, 1000), st.sampled_from([3, 5, 7, 11, 13]))
-def test_lift_is_congruent_and_in_range(value, p):
-    (x,), _, _ = new_operator(p, (value,), (1,))._lifts
-    assert 1 <= x <= p
-    assert x % p == value % p
-
-
-def test_lifts_are_in_decreasing_order():
-    op = new_operator(7, (2, 0, 5), (1, 3))
-    assert op._lifts[:2] == ([7, 5, 2], [3, 1])
-    assert op.all_fp()
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000), st.sampled_from([3, 5, 7, 11, 13]))
+def test_lift_is_congruent_and_in_range(v, w, p):
+    """The lift of q is the representative of q mod p in {1, ..., p}."""
+    lift_v, lift_w = (next(x for x in range(1, p + 1) if (x - q) % p == 0) for q in (v, w))
+    assert t_set(new_operator(p, (v,), (w,))) == {int(lift_w > lift_v)}
 
 
 def test_a_generic_makes_all_fp_false():
     op = new_operator(5, (Generic("a"), 3, Generic("b")), (2,))
-    assert op._lifts[:2] == ([3], [2])
+    assert t_set(op) == {0}
     assert not op.all_fp()
+    beta_generic = new_operator(5, (3,), (Generic("c"), 4))
+    assert t_set(beta_generic) == {1}
+    assert not beta_generic.all_fp()
     assert not new_operator(5, (3,), (Generic("c"),)).all_fp()
+    assert new_operator(7, (2, 0, 5), (1, 3)).all_fp()
 
 
 @pytest.mark.parametrize("module", [dormantops, fp])

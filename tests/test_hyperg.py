@@ -254,49 +254,60 @@ def test_cached_elimination_keeps_equality_and_hash():
     assert hash(cached) == hash(fresh)
     assert len({cached, fresh}) == 1
     assert cached != new_operator(97, (50, 4), (10,))
-    assert cached._lifts[:2] == ([50, 3], [10])
     assert sorted(t_set(cached)) == [0, 1] and kernel_rank(cached) == 2
     assert cached == fresh and hash(cached) == hash(fresh)
+    # the closed form caches nothing; the elimination is the one cached value
+    assert vars(cached).keys() == {"p", "alpha", "beta", "_row_echelon"}
+    assert vars(fresh).keys() == {"p", "alpha", "beta"}
 
 
-def _lifts_property():
-    return vars(hyperg.HGOperator)["_lifts"]
+def _refuse(*args):
+    raise AssertionError("one path read the other")
 
 
-def test_one_sort_per_side_per_operator(monkeypatch):
-    calls = []
-    lifts = _lifts_property().func
-
-    def counting(op):
-        calls.append(op.p)
-        return lifts(op)
-
-    monkeypatch.setattr(_lifts_property(), "func", counting)
+def test_closed_form_and_oracle_read_nothing_of_each_other(monkeypatch):
     op = new_operator(7, (6, 4, 2), (5, 3))
-    for _ in range(2):
-        assert t_set(op) == {0, 1, 2} and kernel_rank(op) == 3
-        assert has_full_solutions(op) and op.all_fp()
-        assert op._lifts[:2] == ([6, 4, 2], [5, 3])
-    assert calls == [7]
+    with monkeypatch.context() as m:
+        m.setattr(hyperg, "t_set", _refuse)
+        m.setattr(hyperg, "kernel_rank", _refuse)
+        assert oracle_rank(op) == 3
+        basis = root_basis(op)
+        assert len(basis) == 3 and not any(any(apply(op, v)) for v in basis)
+        assert op.all_fp()
+    fresh = new_operator(7, (6, 4, 2), (5, 3))
+    with monkeypatch.context() as m:
+        m.setattr(hyperg, "matrix", _refuse)
+        m.setattr(hyperg, "_echelon", _refuse)
+        assert t_set(fresh) == {0, 1, 2} and kernel_rank(fresh) == 3
+        assert has_full_solutions(fresh) and fresh.all_fp()
+        with pytest.raises(AssertionError, match="read the other"):
+            oracle_rank(fresh)
 
 
-def test_oracle_reads_nothing_from_the_lifts(monkeypatch):
-    def refuse(op):
-        raise AssertionError("the oracle sorted the parameters")
+def test_apply_refuses_a_non_int_coefficient():
+    op = new_operator(7, [1], [2])
+    with pytest.raises(TypeError, match=r"^not a coefficient: 0\.5$"):
+        apply(op, [0.5] * 7)
 
-    monkeypatch.setattr(_lifts_property(), "func", refuse)
-    op = new_operator(7, (6, 4, 2), (5, 3))
-    assert oracle_rank(op) == 3
-    assert len(root_basis(op)) == 3
-    with pytest.raises(AssertionError, match="sorted"):
-        op.all_fp()
+    class Loud(int):
+        def __rmul__(self, other):
+            raise AssertionError("arithmetic on a refused vector")
+
+    for bad in (1.0, "1", None):
+        # the last coefficient is refused before the first is read
+        with pytest.raises(TypeError, match=f"^not a coefficient: {bad!r}$"):
+            apply(op, [Loud(1)] + [0] * 5 + [bad])
+    # ints pass, bools among them
+    assert apply(op, [True, False] + [0] * 5) == apply(op, [1, 0] + [0] * 5) == (6, 0, 0, 0, 0, 0, 0)
 
 
 def test_parameters_are_plain_residues():
     op = new_operator(7, (8, -1, 0), (15, Generic("b")))
     assert op.alpha == (1, 6, 0)
     assert all(type(x) is int for x in op.alpha + op.beta if not isinstance(x, Generic))
-    assert op._lifts[:2] == ([7, 6, 1], [1])
+    assert op.beta == (1, Generic("b"))
+    # lifts 1, 6, 7 against the one F_p beta lift 1: none lies above
+    assert t_set(op) == {0}
     for p in (1, 4, 9, 2):
         with pytest.raises(ValueError, match="odd prime"):
             new_operator(p, (1,), (1,))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+import re
 import time
 
 import pytest
@@ -187,6 +188,23 @@ def test_exponents_need_int_parameters():
                 fn(7, alpha, beta)
         # ints pass, bools among them, as in new_operator
         assert fn(7, [True, 9], [-4]) == fn(7, [1, 2], [3])
+
+
+def test_classes_need_int_entries():
+    for bad, build in (
+        (1.5, lambda: canonical(7, [1.5, 2])),
+        (8.0, lambda: canonical(7, (0, 8.0))),
+        ("2", lambda: canonical(7, [0, "2"])),
+        (1.0, lambda: RadiusClass(7, (0, 1.0))),
+        (None, lambda: RadiusClass(7, (0, None))),
+    ):
+        with pytest.raises(TypeError, match=f"^not a residue: {re.escape(repr(bad))}$"):
+            build()
+    # ints pass, bools among them, and any int representative is reduced
+    assert canonical(7, [True, 9, -4]) == canonical(7, [1, 2, 3]) == RadiusClass(7, (0, 1, 2))
+    assert RadiusClass(7, (False, True)) == RadiusClass(7, (0, 1))
+    with pytest.raises(ValueError, match=r"^entries out of range for p=7: \(0, 7\)$"):
+        RadiusClass(7, (0, 7))
 
 
 def test_hyp_type_membership():
