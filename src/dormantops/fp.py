@@ -55,8 +55,15 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def _check_int(x: int, name: str) -> int:
+    """x when it is an int and not a bool; otherwise TypeError naming the argument."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {x!r}")
+    return x
+
+
 def check_odd_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_odd_prime(p):
+    if not is_odd_prime(_check_int(p, "p")):
         raise ValueError(f"modulus must be an odd prime, got {p!r}")
     return p
 

@@ -12,29 +12,32 @@ rule, with the paper's rigidity result as its input:
   * Pieri rows: H_r[c][b] = 1 when (h_r, b, neg_dual c) arises from a
     full-solution parameter chain (hyp_set, read as its index orbits), and 0
     otherwise;
-  * Jacobi-Trudi: N(a, b, c) = M_lambda[neg_dual c][b] with lambda the
-    partition of a and M_lambda = det(H_{lambda_i - i + j}), where H_r = 0
-    outside 0 <= r <= p-n.  The H_r commute, so the determinant is expanded
-    along its first row with a memo of minors.  A first-row minor is not the
-    Jacobi-Trudi matrix of a smaller partition, so minors are keyed by
-    (row, remaining columns, lambda tail).  Each row of a minor is one packed
-    integer with a signed w-bit slot per column, so a product with H_r adds one
-    integer per Pieri entry; w comes from a bound on every minor's entries,
-    proved in the _closure docstring.
+  * Jacobi-Trudi: N(a, b, neg_dual t) = M_lambda[t][b], the coefficient of e_t
+    in e_a e_b, with lambda the partition of a and M_lambda =
+    det(H_{lambda_i - i + j}), where H_r = 0 outside 0 <= r <= p-n.  The H_r
+    commute, so the determinant is expanded along its first row with a memo of
+    minors.  A first-row minor is not the Jacobi-Trudi matrix of a smaller
+    partition, so minors are keyed by (row, remaining columns, lambda tail).
+    Each row of a minor is one packed integer with a signed w-bit slot per
+    column, so a product with H_r adds one integer per Pieri entry; w comes
+    from a bound on every minor's entries, proved in the _closure docstring.
 
 The source tag of a cell names its witness.  "hyp": some class is
 hypergeometric, and the entry must be 1 exactly when the triple is in
-hyp_set(p, n).  "dual:hyp": otherwise some complement dual is, and the
-entry must be 1 exactly when the complement-dual triple is in
-hyp_set(p, p-n).  "jacobi-trudi": neither applies.  The Pieri rows and both
-witnesses read hyp_set as its cached index orbits (radii._hyp_orbits), the
-dual witness through one map from the indices of Xi_{p,p-n} to those of their
-complement duals in Xi_{p,n}.  Each packed row (a, c) is checked whole: its
-slots are nonnegative when adding 2^(w-1) to each keeps every slot's top bit,
-and its witnessed slots must equal a packed row with a 1 where the cell's own
-witness holds.  A failing row is scanned cell by cell, and the first negative
-entry or disagreeing witness raises AssertionError naming the triple and both
-values; neither side is preferred.  Tables stop at MAX_TABLE_CLASSES classes.
+hyp_set(p, n).  "dual:hyp": otherwise some complement dual is, and the entry
+must be 1 exactly when the complement-dual triple is in hyp_set(p, p-n).
+"jacobi-trudi": neither applies.  The Pieri rows and both witnesses read
+hyp_set as its cached index orbits (radii._hyp_orbits), the dual witness
+through one map from the indices of Xi_{p,p-n} to those of their complement
+duals in Xi_{p,n}.  Each packed row t of M_lambda is checked whole: its slots
+are nonnegative when adding 2^(w-1) to each keeps every slot's top bit, and its
+witnessed slots must equal a packed row with a 1 where the cell's own witness
+holds.  A failing row is scanned cell by cell, and the first negative entry or
+disagreeing witness raises AssertionError naming the triple and both values;
+neither side is preferred.  A row t that passes is stored as it is, in product
+order, at the cells (a, ., t); only BaseTable._slot and entries() map a triple
+(a, b, c) to its cell (a, b, dual c).  Tables stop at MAX_TABLE_CLASSES
+classes.
 
 On top of the table, a genus-g surface with radii rho_1 <= ... <= rho_r (in
 basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle
@@ -44,8 +47,8 @@ e_rho_1 (the unit when r = 0), multiply by M_a, (v e_a)_t =
 sum_s v_s N(s, a, dual t), for each further radius, and apply
 v -> sum_c (v e_c) e_{dual c} for every handle but the last.  The last two
 factors close by contraction: sum_s v_s N(s, a, b) at genus 0 and
-sum_c sum_s v_s N(s, c, dual c) otherwise.  A product reads the rows
-N(s, a, .) of the support of v, each whole, so the cost is linear in g + r.
+sum_c sum_s v_s N(s, c, dual c) otherwise.  A product reads the stored
+rows e_s e_a of the support of v, each whole, so the cost is linear in g + r.
 evaluate builds u = e_inputs h^g the same way and reads its output lambda as
 w[lambda_s], w = u e_{dual lambda_1} ... e_{dual lambda_{s-1}}, since
 eps(w e_{dual c}) = w[c].  Scalars are exact.
@@ -58,8 +61,8 @@ import itertools
 import sys
 from collections.abc import Iterator, Mapping, Sequence
 
-from .fp import _Frozen, _Record
-from .radii import RadiusClass, _check_pn, _hyp_orbits, canonical, comp_dual, neg_dual, xi, xi_size
+from .fp import _check_int, _Frozen, _Record
+from .radii import RadiusClass, Triple, _check_pn, _hyp_orbits, canonical, comp_dual, neg_dual, xi, xi_size
 
 __all__ = [
     "Cobordism",
@@ -72,8 +75,6 @@ __all__ = [
     "check_axioms",
 ]
 
-Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
-
 
 class Cobordism(_Frozen):
     """A connected surface of the given genus with r input and s output circles."""
@@ -81,7 +82,7 @@ class Cobordism(_Frozen):
     __match_args__ = ("genus", "n_in", "n_out")
 
     def __init__(self, genus: int, n_in: int, n_out: int) -> None:
-        if any(type(x) is not int or x < 0 for x in (genus, n_in, n_out)):
+        if min([_check_int(x, name) for name, x in zip(self.__match_args__, (genus, n_in, n_out))]) < 0:
             raise ValueError("genus and boundary counts must be nonnegative")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "n_in", n_in)
@@ -90,8 +91,8 @@ class Cobordism(_Frozen):
 
 # Largest |Xi_{p,n}| a base table is built for: every (p, n) with p <= 13 fits
 # (k <= 132), while (17, 5), with k = 364, would need 48 million cells.
-# BaseTable(13, 6), 2.3 million cells, takes 0.25-0.30 s with xi and hyp_set
-# warm on a shared 2-vCPU Intel Xeon under CPython 3.11 (six fresh processes).
+# BaseTable(13, 6), 2.3 million cells, takes 0.25-0.50 s with xi and hyp_set
+# warm on a shared 2-vCPU Intel Xeon under CPython 3.11 (fourteen fresh processes).
 # It also admits (p, 2) and (p, p - 2), k = (p - 1)/2, for every prime p <= 293,
 # (p, 3) and (p, p - 3) up to p = 31, and (17, 13), and the (p, p - 2) tables
 # are slow on the same machine: count --p 151 --n 149 --g 2 takes 14 s,
@@ -227,8 +228,9 @@ def _unpack(row: int, w: int, k: int) -> Sequence[int]:
 class BaseTable:
     """Resolved three-point counts over all ordered triples from Xi_{p,n}.
 
-    Each ordered triple of basis indices holds its count; at() reads one, _row()
-    the k counts N(i, j, .) of a product e_i e_j, and source_at() derives a
+    Each ordered triple of basis indices holds its count, stored in product
+    order (module docstring); at() reads one, _row() the product e_i e_j as it
+    is stored, its coefficients at e_0, ..., e_{k-1}, and source_at() derives a
     cell's source tag from the kinds of its three classes.  The table also owns
     the basis data the engine and check_axioms share: index maps a class to
     its position in basis, dual_perm[i] is the index of neg_dual(basis[i]), and
@@ -261,13 +263,13 @@ class BaseTable:
             # index in Xi_{p,p-n} -> index of its complement dual in basis
             comp = [index[comp_dual(c)] for c in xi(p, p - n)]
             witnesses.append([tuple(comp[i] for i in t) for t in _hyp_orbits(p, p - n)])
-        # expect[a k + c]: a 1 in slot b for each (a, b, c) its own kind's witness holds
+        # expect[a k + dual c]: a 1 in slot b for each (a, b, c) its own kind's witness holds
         expect: dict[int, int] = {}
         for kind, witness in enumerate(witnesses):
             for a, b, c in _permutations(t for t in witness if min(map(kinds.__getitem__, t)) == kind):
-                expect[a * k + c] = expect.get(a * k + c, 0) | 1 << (w * b)
-        # row (a, c) has cells of kind min(f, kinds[b]), f = min(kinds[a], kinds[c]);
-        # witnessed[f] covers its slots of kind 0 or 1
+                expect[a * k + dual[c]] = expect.get(a * k + dual[c], 0) | 1 << (w * b)
+        # row (a, t) has cells of kind min(f, kinds[b]), f = min(kinds[a], kinds[t]), as
+        # kinds[dual t] = kinds[t]; witnessed[f] covers its slots of kind 0 or 1
         witnessed = [sum(((1 << w) - 1) << (w * b) for b, x in enumerate(kinds) if min(f, x) < 2) for f in range(3)]
         bias = sum(1 << (w * b + w - 1) for b in range(k))  # the top bit of every slot
         self._kinds = kinds
@@ -276,11 +278,11 @@ class BaseTable:
         self._manual: frozenset[tuple[int, int, int]] = frozenset()
         self._cells: list[int] = [0] * k**3
         for a, rows in enumerate(_closure(basis, pieri, w)):
-            for c, d in enumerate(dual):
-                row, f, want = rows[d], min(kinds[a], kinds[c]), expect.get(a * k + c, 0)
+            for t, row in enumerate(rows):
+                f, want = min(kinds[a], kinds[t]), expect.get(a * k + t, 0)
                 if (row + bias) & bias != bias or row & witnessed[f] != want:
-                    self._refuse(a, c, row + bias, want, [min(f, x) for x in kinds], w)
-                self._cells[a * k * k + c:(a + 1) * k * k:k] = _unpack(row, w, k)
+                    self._refuse(a, dual[t], row + bias, want, [min(f, x) for x in kinds], w)
+                self._cells[a * k * k + t:(a + 1) * k * k:k] = _unpack(row, w, k)
 
     def _refuse(self, a: int, c: int, biased: int, want: int, kinds: list[int], w: int) -> None:
         """Raise for the first cell (a, b, c), in b order, that is negative or
@@ -296,12 +298,13 @@ class BaseTable:
                 raise AssertionError(f"p={self.p}, n={self.n}, triple ({triple}): Jacobi-Trudi gives {v}, {other}")
 
     def _slot(self, idx: Sequence[int]) -> int:
+        """The cell of a triple (i, j, l): N(i, j, l) is the coefficient of e_{dual l} in e_i e_j."""
         k = len(self.basis)
         i, j, l = idx
-        return (i * k + j) * k + l
+        return (i * k + j) * k + self.dual_perm[l]
 
     def _row(self, i: int, j: int) -> list[int]:
-        """N(i, j, l) for l = 0, ..., k-1; e_i e_j has coefficient row[dual_perm[t]] at e_t."""
+        """The product e_i e_j in product order: row[t] = N(i, j, dual_perm[t]) is its coefficient at e_t."""
         k = len(self.basis)
         return self._cells[(i * k + j) * k:(i * k + j + 1) * k]
 
@@ -341,11 +344,11 @@ class BaseTable:
         return self.source_at(self._triple(triple))
 
     def entries(self) -> dict[Triple, tuple[int, str]]:
-        # row by row in product order, tagged as in source_at; a manual cell keeps its place
+        # row by row, each read back into N order, tagged as in source_at; a manual cell keeps its place
         basis, kinds, out = self.basis, self._kinds, {}
         for (i, a), (j, b) in itertools.product(enumerate(basis), repeat=2):
-            tags = self._tags[min(kinds[i], kinds[j])]
-            out.update(zip(zip(itertools.repeat(a), itertools.repeat(b), basis), zip(self._row(i, j), tags)))
+            row, tags = map(self._row(i, j).__getitem__, self.dual_perm), self._tags[min(kinds[i], kinds[j])]
+            out.update(zip(zip(itertools.repeat(a), itertools.repeat(b), basis), zip(row, tags)))
         out.update({tuple(map(basis.__getitem__, idx)): (self.at(idx), "manual") for idx in self._manual})
         return out
 
@@ -398,10 +401,8 @@ class FusionEngine:
         """The product v e_a, reading the rows of the support of v."""
         out: dict[int, int] = {}
         for s, x in v.items():
-            row = self.table._row(s, a)
             self._read_rows.add((s, a))
-            for t, d in enumerate(self.table.dual_perm):
-                w = row[d]
+            for t, w in enumerate(self.table._row(s, a)):
                 if w:
                     out[t] = out.get(t, 0) + x * w
         return out
@@ -442,7 +443,7 @@ class FusionEngine:
         Valid for 2g - 2 + r > 0 and for the closed surfaces of genus 0 and 1;
         the chain (module docstring) is linear in g + r, so any genus finishes.
         """
-        if type(g) is not int or g < 0:
+        if _check_int(g, "genus") < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
         idx = self.table.indices(radii)
         r = len(idx)
@@ -518,15 +519,8 @@ class AxiomReport(_Record):
         return all(r.passed for r in self.results)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "passed": self.passed,
-            "results": [
-                {"name": r.name, "passed": r.passed, "witness": r.witness}
-                for r in self.results
-            ],
-        }
+        results = [{"name": r.name, "passed": r.passed, "witness": r.witness} for r in self.results]
+        return {"p": self.p, "n": self.n, "passed": self.passed, "results": results}
 
 
 def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
@@ -534,17 +528,16 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
 
     The algebra has basis Xi_{p,n}, unit [0, ..., n-1], product
     e_i e_j = sum_t N(i, j, dual t) e_t and pairing <e_i, e_j> = 1 exactly when
-    j = dual i.  Each product e_i e_j is the row BaseTable._row(i, j) read through
-    the dual permutation, with no FusionEngine, so nothing keeps the k^3 cells
-    read.  ValueError when |Xi_{p,n}| exceeds MAX_AXIOM_CLASSES.
+    j = dual i.  Each product e_i e_j is the row BaseTable._row(i, j) as it is
+    stored, in product order, with no FusionEngine, so nothing keeps the k^3
+    cells read.  ValueError when |Xi_{p,n}| exceeds MAX_AXIOM_CLASSES.
     """
     _size(p, n, MAX_AXIOM_CLASSES, "check_axioms")
     table = _table_for(p, n, table)
     basis, dual = table.basis, table.dual_perm
     k = len(basis)
     # prod[i][j] = e_i e_j as a sparse vector; no stored coefficient is zero
-    prod = [[{t: x for t, d in enumerate(dual) if (x := row[d])} for row in map(table._row, [i] * k, range(k))]
-            for i in range(k)]
+    prod = [[{t: x for t, x in enumerate(table._row(i, j)) if x} for j in range(k)] for i in range(k)]
     name_of = lambda i: str(list(basis[i].elems))
 
     def combine(terms) -> dict[int, int]:
@@ -569,7 +562,7 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
                         != combine((y, prod[i][t]) for t, y in prod[j][l].items())),
         "unit": (f"unit * {name_of(j)}" for j in range(k) if prod[table.unit][j] != {j: 1}),
         "frobenius": (f"<{name_of(i)} * {name_of(j)}, {name_of(l)}>" for i, j, l in cube()
-                      if sum(x for t, x in prod[i][j].items() if dual[t] == l) != prod[j][l].get(dual[i], 0)),
+                      if prod[i][j].get(dual[l], 0) != prod[j][l].get(dual[i], 0)),
         "pairing-nondegenerate": (
             iter(["pairing matrix is not a permutation"]) if sorted(dual) != list(range(k))
             else (f"negation dual not involutive at {name_of(i)}" for i in range(k) if dual[dual[i]] != i)),

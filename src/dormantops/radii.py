@@ -41,7 +41,7 @@ from functools import lru_cache, total_ordering
 from math import comb
 from operator import sub
 
-from .fp import _Frozen, check_odd_prime
+from .fp import _check_int, _Frozen, check_odd_prime
 
 __all__ = [
     "RadiusClass",
@@ -123,6 +123,9 @@ class RadiusClass(_Frozen):
         return len(set(self.elems)) == len(self.elems)
 
 
+Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
+
+
 def _zero_translates(p: int, elems: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The sorted translates that contain 0, one per distinct entry."""
     return (tuple(sorted((e - s) % p for e in elems)) for s in set(elems))
@@ -147,9 +150,9 @@ def canonical(p: int, elems: Iterable[int]) -> RadiusClass:
 
 
 def _check_pn(p: int, n: int, least: int = 1) -> None:
-    """ValueError unless p is an odd prime and n an int, not a bool, with least <= n < p; p first."""
+    """TypeError unless p and n are ints, not bools, then ValueError unless p is an odd prime and least <= n < p."""
     check_odd_prime(p)
-    if type(n) is not int or not least <= n < p:
+    if not least <= _check_int(n, "n") < p:
         lower = "1 <= n" if least == 1 else f"{least - 1} < n"
         raise ValueError(f"need {lower} < p, got n={n}, p={p}")
 
@@ -208,9 +211,7 @@ def exponents(
     return e1, e2, e3
 
 
-def radii_triple(
-    p: int, alpha: Sequence[int], beta: Sequence[int]
-) -> tuple[RadiusClass, RadiusClass, RadiusClass]:
+def radii_triple(p: int, alpha: Sequence[int], beta: Sequence[int]) -> Triple:
     """Componentwise canonical classes of the three exponent multisets."""
     e1, e2, e3 = exponents(p, alpha, beta)
     return canonical(p, e1), canonical(p, e2), canonical(p, e3)
@@ -281,7 +282,7 @@ def _hyp_orbits(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(orbits))
 
 
-def hyp_set(p: int, n: int) -> frozenset[tuple[RadiusClass, RadiusClass, RadiusClass]]:
+def hyp_set(p: int, n: int) -> frozenset[Triple]:
     """Every permutation of every radii triple of a full-solution parameter tuple.
 
     Built from the cached index orbits of the alpha/beta walk (_hyp_orbits),
@@ -291,4 +292,4 @@ def hyp_set(p: int, n: int) -> frozenset[tuple[RadiusClass, RadiusClass, RadiusC
     # the orbits first, so that their check, not xi's, refuses n
     orbits = _hyp_orbits(p, n)
     classes = xi(p, n)
-    return frozenset(tuple(classes[i] for i in perm) for t in orbits for perm in itertools.permutations(t))
+    return frozenset(itertools.chain.from_iterable(itertools.permutations([classes[i] for i in t]) for t in orbits))

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .radii import RadiusClass, _check_pn, canonical
+from .radii import RadiusClass, Triple, _check_pn, canonical
 
 __all__ = [
     "published_pairs",
     "published_xi",
     "published_counts",
 ]
-
-Triple = tuple[RadiusClass, RadiusClass, RadiusClass]
 
 
 @lru_cache(maxsize=None)

@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import combinations
 
-from .fp import is_odd_prime
+from .fp import _check_int, is_odd_prime
 from .radii import _check_pn, _zero_sum_subsets, xi_size
 
 __all__ = [
@@ -117,7 +117,7 @@ def verlinde_sum(p: int, n: int, g: int) -> int:
     lifted sum falls outside its proved range (module docstring).
     """
     _check_pn(p, n)
-    if type(g) is not int or g < 1:
+    if _check_int(g, "genus") < 1:
         raise ValueError(f"need genus >= 1, got {g}")
     if p > MAX_SUM_P:
         raise ValueError(f"p={p} is over the limit of {MAX_SUM_P} for the closed-form sum")
@@ -178,7 +178,7 @@ def verlinde_count(p: int, n: int, g: int) -> int:
     p > n * max(g-1, 2).
     """
     _check_pn(p, n)
-    if type(g) is not int or g < 2:
+    if _check_int(g, "genus") < 2:
         raise ValueError(f"need genus >= 2, got {g}")
     if p <= n * max(g - 1, 2):
         raise ValueError(

@@ -20,6 +20,13 @@ def test_non_odd_primes_rejected(p):
         check_odd_prime(p)
 
 
+@pytest.mark.parametrize("p", [7.0, True, "7"])
+def test_a_modulus_that_is_not_an_int_is_refused_by_its_type(p):
+    with pytest.raises(TypeError) as err:
+        check_odd_prime(p)
+    assert str(err.value) == f"p must be an int, got {p!r}"
+
+
 def _odd_prime_by_trial_division(n):
     if n < 3 or n % 2 == 0:
         return False

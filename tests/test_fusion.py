@@ -325,9 +325,9 @@ def test_count_validates_inputs():
     with pytest.raises(ValueError):
         engine.count(-1, [])
     for g in (True, 1.5, 2.0):
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(TypeError) as err:
             count(7, 3, g)
-        assert str(err.value) == f"genus must be a nonnegative integer, got {g!r}"
+        assert str(err.value) == f"genus must be an int, got {g!r}"
     with pytest.raises(ValueError):
         engine.count(0, [a])
     with pytest.raises(ValueError):
@@ -590,6 +590,19 @@ def test_evaluate_multiplication_cobordism_matches_algebra():
     vec = [out.get((c,), 0) for c in w]
     assert vec == [table.at((i, j, table.dual_perm[t])) for t in range(len(w))]
     assert vec == [0, 1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(2, p)] + [(11, 4)])
+def test_a_row_is_stored_in_product_order(p, n):
+    """_row(i, j)[t] is the coefficient of e_t in e_i e_j, N(i, j, dual t), and
+    a product reads the row as it is stored."""
+    table = BaseTable(p, n)
+    engine = FusionEngine(p, n, table)
+    k = len(table.basis)
+    for i, j in itertools.product(range(k), repeat=2):
+        row = table._row(i, j)
+        assert row == [table.at((i, j, table.dual_perm[t])) for t in range(k)]
+        assert engine._times({i: 1}, j) == {t: x for t, x in enumerate(row) if x}
 
 
 def test_axiom_report_shape_and_passing():

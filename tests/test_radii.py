@@ -401,20 +401,19 @@ def _refusals():
     for name, call, least in _ENTRY_POINTS:
         lower = "need 1 <= n < p" if least == 1 else "need 1 < n < p"
         library = not name.startswith("cli")
-        # argparse hands the CLI ints only
-        bad_p = [9] + [7.0] * library
-        bad_n = [0, 7, 8] + [1] * (least == 2) + [3.0, True] * library
-        for p in bad_p:
-            yield pytest.param(call, p, 3, f"modulus must be an odd prime, got {p}", library, id=f"{name}-{p}-3")
-        for n in bad_n:
-            yield pytest.param(call, 7, n, f"{lower}, got n={n}, p=7", library, id=f"{name}-7-{n}")
+        yield pytest.param(call, 9, 3, ValueError, "modulus must be an odd prime, got 9", library, id=f"{name}-9-3")
+        for n in [0, 7, 8] + [1] * (least == 2):
+            yield pytest.param(call, 7, n, ValueError, f"{lower}, got n={n}, p=7", library, id=f"{name}-7-{n}")
+        # argparse hands the CLI ints only; a float or a bool is refused by its type
+        for p, n, arg, bad in [(7.0, 3, "p", 7.0), (7, 3.0, "n", 3.0), (7, True, "n", True)] * library:
+            yield pytest.param(call, p, n, TypeError, f"{arg} must be an int, got {bad!r}", True, id=f"{name}-{p}-{n}")
 
 
-@pytest.mark.parametrize("call, p, n, message, warm", _refusals())
-def test_every_entry_point_refuses_a_bad_prime_or_rank_alike(call, p, n, message, warm):
+@pytest.mark.parametrize("call, p, n, error, message, warm", _refusals())
+def test_every_entry_point_refuses_a_bad_prime_or_rank_alike(call, p, n, error, message, warm):
     if warm:
         # a cached answer for (7, 3) must not stand in for 7.0, 3.0 or True
         call(7, 3)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(error) as err:
         call(p, n)
-    assert str(err.value) == message
+    assert type(err.value) is error and str(err.value) == message

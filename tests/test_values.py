@@ -177,15 +177,18 @@ def test_pickled_radius_class_keeps_its_hash():
         (lambda: RadiusClass(7, (0, 7)), "entries out of range for p=7: (0, 7)"),
         (lambda: RadiusClass(4, (0, 1)), "modulus must be an odd prime, got 4"),
         (lambda: Cobordism(0, -1, 2), "genus and boundary counts must be nonnegative"),
-        pytest.param(lambda: Cobordism(1.5, 0, 0), "genus and boundary counts must be nonnegative", id="float-genus"),
-        pytest.param(lambda: Cobordism(True, 0, 0), "genus and boundary counts must be nonnegative", id="bool-genus"),
-        pytest.param(lambda: Cobordism(0, 1.0, 0), "genus and boundary counts must be nonnegative", id="float-n_in"),
+        # a count that is not an int is refused by its type, naming the argument
+        pytest.param(lambda: Cobordism(1.5, 0, 0), TypeError("genus must be an int, got 1.5"), id="float-genus"),
+        pytest.param(lambda: Cobordism(True, 0, 0), TypeError("genus must be an int, got True"), id="bool-genus"),
+        pytest.param(lambda: Cobordism(0, 1.0, -1), TypeError("n_in must be an int, got 1.0"), id="float-n_in"),
     ],
 )
 def test_validation_messages(build, message):
-    with pytest.raises(ValueError) as err:
+    # a bare message is a ValueError's
+    want = message if isinstance(message, TypeError) else ValueError(message)
+    with pytest.raises(type(want)) as err:
         build()
-    assert str(err.value) == message
+    assert type(err.value) is type(want) and str(err.value) == str(want)
 
 
 @pytest.mark.parametrize(

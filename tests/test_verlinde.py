@@ -169,6 +169,13 @@ def test_count_checks_p_and_n_before_the_genus_and_the_window(p, n, g, match):
         verlinde_count(p, n, g)
 
 
+def test_a_rank_that_is_not_an_int_is_refused_by_its_type_before_the_genus():
+    for n in (3.0, True):
+        with pytest.raises(TypeError) as err:
+            verlinde_count(7, n, 0.5)
+        assert str(err.value) == f"n must be an int, got {n!r}"
+
+
 def test_sum_validation():
     with pytest.raises(ValueError):
         verlinde_sum(9, 2, 2)
@@ -186,10 +193,10 @@ def test_a_genus_that_is_not_an_int_is_refused_before_any_work(monkeypatch, g):
         raise AssertionError("work started")
 
     monkeypatch.setattr(verlinde, "_bound", no_work)
-    for call, least in ((verlinde_sum, 1), (verlinde_count, 2)):
-        with pytest.raises(ValueError) as err:
+    for call in (verlinde_sum, verlinde_count):
+        with pytest.raises(TypeError) as err:
             call(7, 3, g)
-        assert str(err.value) == f"need genus >= {least}, got {g}"
+        assert str(err.value) == f"genus must be an int, got {g!r}"
 
 
 def _prime_above(n):
