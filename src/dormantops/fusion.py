@@ -40,15 +40,15 @@ order, at the cells (a, ., t); only BaseTable._slot and entries() map a triple
 classes.
 
 On top of the table, a genus-g surface with radii rho_1 <= ... <= rho_r (in
-basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle
+basis order) counts eps(e_rho_1 ... e_rho_r h^g), with the handle element
 h = sum_c e_c e_{dual c} and eps the coefficient of the unit.  FusionEngine
 computes it as one chain on sparse vectors over basis indices: start from
 e_rho_1 (the unit when r = 0), multiply by M_a, (v e_a)_t =
-sum_s v_s N(s, a, dual t), for each further radius, and apply
-v -> sum_c (v e_c) e_{dual c} for every handle but the last.  The last two
-factors close by contraction: sum_s v_s N(s, a, b) at genus 0 and
-sum_c sum_s v_s N(s, c, dual c) otherwise.  A product reads the stored
-rows e_s e_a of the support of v, each whole, so the cost is linear in g + r.
+sum_s v_s N(s, a, dual t), for each further radius, and by h, formed once from
+the rows (c, dual c), for every handle but the last.  The last two factors
+close by contraction: sum_s v_s N(s, a, b) at genus 0 and sum_c sum_s
+v_s N(s, c, dual c) otherwise.  A product v x reads the stored rows e_s e_u,
+s in the support of v and u in that of x, so the cost is linear in g + r.
 evaluate builds u = e_inputs h^g the same way and reads its output lambda as
 w[lambda_s], w = u e_{dual lambda_1} ... e_{dual lambda_{s-1}}, since
 eps(w e_{dual c}) = w[c].  Scalars are exact.
@@ -372,14 +372,23 @@ def _table_for(p: int, n: int, table: BaseTable | None) -> BaseTable:
     return table
 
 
+def _combine(terms) -> dict[int, int]:
+    """sum of x v over the pairs (x, v), v a sparse vector, with zero coefficients dropped."""
+    out: dict[int, int] = {}
+    for x, v in terms:
+        for m, y in v.items():
+            out[m] = out.get(m, 0) + x * y
+    return {m: z for m, z in out.items() if z}
+
+
 class FusionEngine:
     """Counts over surfaces of arbitrary genus and marked points, one chain each.
 
     memo holds every answer of count, keyed by (g, sorted tuple of basis
-    indices).  The engine records the rows (s, a) that products read and the
-    cells (s, a, b) that closing contractions read; used builds from them, on
-    each read, the ordered index triple of every base entry that count and
-    evaluate read, all k of each row.  The table gives their values and sources.
+    indices).  The engine records the rows (s, a) that products read, with the
+    rows (c, dual c) that form h and (s, u), u in the support of h, for each
+    handle, and the cells (s, a, b) that contractions read; used builds from
+    them, on each read, the index triple of every entry read, all k of each row.
     """
 
     def __init__(self, p: int, n: int, table: BaseTable | None = None):
@@ -392,8 +401,7 @@ class FusionEngine:
     @property
     def used(self) -> set[tuple[int, int, int]]:
         """The index triples of the base entries read so far, a new set on each read."""
-        cols = range(len(self.basis))
-        used = {(s, a, l) for s, a in self._read_rows for l in cols}
+        used = {(s, a, l) for s, a in self._read_rows for l in range(len(self.basis))}
         used.update(self._read_cells)
         return used
 
@@ -413,16 +421,14 @@ class FusionEngine:
         return sum(x * self.table.at((s, a, b)) for s, x in v.items())
 
     def _product(self, idx: Sequence[int], handles: int) -> dict[int, int]:
-        """e_idx h^handles, from e_idx[0] (the unit when idx is empty) on."""
+        """e_idx h^handles, from e_idx[0] (the unit when idx is empty) on; h is formed once per call."""
         v = {idx[0]: 1} if idx else {self.table.unit: 1}
         for a in idx[1:]:
             v = self._times(v, a)
-        for _ in range(handles):
-            h: dict[int, int] = {}
-            for c, d in enumerate(self.table.dual_perm):
-                for t, y in self._times(self._times(v, c), d).items():
-                    h[t] = h.get(t, 0) + y
-            v = h
+        if handles:
+            h = _combine((1, self._times({c: 1}, d)) for c, d in enumerate(self.table.dual_perm))
+            for _ in range(handles):
+                v = _combine((x, self._times(v, u)) for u, x in h.items())
         return v
 
     def _chain(self, g: int, idx: Sequence[int]) -> int:
@@ -540,14 +546,6 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
     prod = [[{t: x for t, x in enumerate(table._row(i, j)) if x} for j in range(k)] for i in range(k)]
     name_of = lambda i: str(list(basis[i].elems))
 
-    def combine(terms) -> dict[int, int]:
-        """sum of x v over the pairs (x, v), with zero coefficients dropped."""
-        out: dict[int, int] = {}
-        for x, v in terms:
-            for m, y in v.items():
-                out[m] = out.get(m, 0) + x * y
-        return {m: z for m, z in out.items() if z}
-
     cube = lambda: itertools.product(range(k), repeat=3)
     # each axiom's failures in search order; the first one found is its witness
     searches = {
@@ -558,8 +556,8 @@ def check_axioms(p: int, n: int, table: BaseTable | None = None) -> AxiomReport:
         "commutative": (f"{name_of(i)} * {name_of(j)}"
                         for i, j in itertools.product(range(k), repeat=2) if prod[i][j] != prod[j][i]),
         "associative": (f"({name_of(i)} * {name_of(j)}) * {name_of(l)}" for i, j, l in cube()
-                        if combine((x, prod[t][l]) for t, x in prod[i][j].items())
-                        != combine((y, prod[i][t]) for t, y in prod[j][l].items())),
+                        if _combine((x, prod[t][l]) for t, x in prod[i][j].items())
+                        != _combine((y, prod[i][t]) for t, y in prod[j][l].items())),
         "unit": (f"unit * {name_of(j)}" for j in range(k) if prod[table.unit][j] != {j: 1}),
         "frobenius": (f"<{name_of(i)} * {name_of(j)}, {name_of(l)}>" for i, j, l in cube()
                       if prod[i][j].get(dual[l], 0) != prod[j][l].get(dual[i], 0)),

@@ -158,8 +158,9 @@ def _check_pn(p: int, n: int, least: int = 1) -> None:
 
 
 def _zero_sum_subsets(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    """T as increasing tuples: each (n-1)-subset R of Z/p plus -sum R mod p, when above max R."""
-    for rest in itertools.combinations(range(p), n - 1):
+    """T as increasing tuples: each (n-1)-subset R of Z/p plus -sum R mod p, when above max R.
+    As -sum R mod p <= p - 1, no such R holds p - 1, so R is drawn from 0, ..., p - 2."""
+    for rest in itertools.combinations(range(p - 1), n - 1):
         last = -sum(rest) % p
         if not rest or last > rest[-1]:
             yield rest + (last,)

@@ -431,12 +431,23 @@ def _tree(table, g, key, memo):
     return v
 
 
+def _sum(terms):
+    """sum of x v over the pairs (x, v), v a sparse vector, with zero coefficients dropped."""
+    out = {}
+    for x, v in terms:
+        for t, y in v.items():
+            out[t] = out.get(t, 0) + x * y
+    return {t: z for t, z in out.items() if z}
+
+
 def _replayer(table):
     """(reads, entry, times, product): the chain's steps on table, each cell read
     one at a time through entry, which records it in reads.
 
     The reference for the row reads of FusionEngine.used.  A product v e_a
-    reads N(s, a, dual t) for every t and every s in the support of v.
+    reads N(s, a, dual t) for every t and every s in the support of v.  A
+    handle step is one product v h, by h = sum_c e_c e_{dual c} formed once
+    per call from the products e_c e_{dual c}.
     """
     reads = set()
     dual = table.dual_perm
@@ -457,12 +468,10 @@ def _replayer(table):
         v = {idx[0]: 1} if idx else {table.unit: 1}
         for a in idx[1:]:
             v = times(v, a)
-        for _ in range(handles):
-            h = {}
-            for c, d in enumerate(dual):
-                for t, y in times(times(v, c), d).items():
-                    h[t] = h.get(t, 0) + y
-            v = h
+        if handles:
+            h = _sum((1, times({c: 1}, d)) for c, d in enumerate(dual))
+            for _ in range(handles):
+                v = _sum((x, times(v, u)) for u, x in h.items())
         return v
 
     return reads, entry, times, product
@@ -519,6 +528,52 @@ def test_chain_equals_the_gluing_tree(p, n):
                 assert engine.memo == {(g, key): got}
                 if g or r >= 3:
                     _assert_used_is_read_from_the_table(engine, g, key)
+
+
+def _two_k_product_counts(table, key, top):
+    """{g: count} for g = 1, ..., top and the sorted key, each handle step taken
+    as the 2k products v -> sum_c (v e_c) e_{dual c}, with no handle element
+    formed: the reference for the one product v h of FusionEngine.  Vectors are dense."""
+    k, dual = len(table.basis), table.dual_perm
+
+    def times(v, a):
+        out = [0] * k
+        for s, x in enumerate(v):
+            if x:
+                out = [y + x * w for y, w in zip(out, table._row(s, a))]
+        return out
+
+    v = [int(i == (key[0] if key else table.unit)) for i in range(k)]
+    for a in key[1:]:
+        v = times(v, a)
+    out = {}
+    for g in range(1, top + 1):
+        if g > 1:
+            v = [sum(col) for col in zip(*(times(times(v, c), d) for c, d in enumerate(dual)))]
+        out[g] = sum(x * table.at((s, c, d)) for s, x in enumerate(v) if x for c, d in enumerate(dual))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, p)])
+def test_the_handle_element_has_full_support_and_glues_as_two_k_products(p, n):
+    table = BaseTable(p, n)
+    k, dual = len(table.basis), table.dual_perm
+    # e_unit h = h, and h[dual s] = sum_c N(c, dual c, s) = sum_c N(s, c, dual c) by S3 symmetry
+    h = FusionEngine(p, n, table)._product((), 1)
+    assert sorted(h) == list(range(k))
+    assert all(h[dual[s]] == sum(table.at((s, c, d)) for c, d in enumerate(dual)) for s in range(k))
+    if p == 13 and 5 <= n <= 8:
+        return  # the dense replay takes seconds on these four largest tables
+    rng = random.Random(f"{p},{n}")
+    for key in [(), (rng.randrange(k),), tuple(sorted(rng.randrange(k) for _ in range(2)))]:
+        want = _two_k_product_counts(table, key, 4)
+        engine = FusionEngine(p, n, table)
+        assert {g: engine.count(g, [table.basis[i] for i in key]) for g in want} == want, key
+
+
+@pytest.mark.parametrize("p,n,g", [(7, 3, 14), (7, 4, 12), (11, 3, 10), (11, 4, 6), (13, 2, 40), (13, 4, 5)])
+def test_many_handle_steps_glue_to_the_closed_form(p, n, g):
+    assert FusionEngine(p, n).count(g, []) == verlinde_sum(p, n, g)
 
 
 @pytest.mark.parametrize("p,n", [(11, 3), (13, 3)])

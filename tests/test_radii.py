@@ -102,8 +102,15 @@ def test_xi_size_formula(p):
         # T <-> Xi: each class has exactly one translate with sum 0 mod p
         for c in classes:
             assert sum((sum(c.elems) + n * t) % p == 0 for t in range(p)) == 1
-        zero_sum = [s for s in subsets if sum(s) % p == 0]
-        assert list(radii._zero_sum_subsets(p, n)) == zero_sum
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_the_zero_sum_walk_equals_a_brute_force_filter(p):
+    for n in range(1, p):
+        walked = list(radii._zero_sum_subsets(p, n))
+        assert walked == [s for s in itertools.combinations(range(p), n) if sum(s) % p == 0]
+        # why the walk draws all but the last element from 0, ..., p - 2
+        assert all(p - 1 not in s[:-1] for s in walked)
 
 
 def test_xi_size_at_a_huge_prime_is_immediate():
